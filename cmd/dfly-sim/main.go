@@ -40,10 +40,10 @@
 //
 // Usage:
 //
-//	dfly-sim -alg UGAL-L_VCH -pattern WC -load 0.3 -p 4 -a 8 -h 4 -buf 16
+//	dfly-sim -alg UGAL-L_VCH -traffic WC -load 0.3 -p 4 -a 8 -h 4 -buf 16
 //	dfly-sim -topology swapped -topo-params "p=2,k=8" -alg MIN -load 0.2
 //	dfly-sim -topology dragonflyplus -topo-params "p=2,leaves=4,spines=4,h=2" -sweep 0.1:0.9:0.1
-//	dfly-sim -alg UGAL-L -pattern WC -sweep 0.05:0.5:0.05 -jobs 4
+//	dfly-sim -alg UGAL-L -traffic WC -sweep 0.05:0.5:0.05 -jobs 4
 //	dfly-sim -alg UGAL-L -fail-global 0.1 -fail-seed 7 -sweep 0.1:0.9:0.1
 //	dfly-sim -alg UGAL-L -fault-timeline "@2000 fail global=0.25; @8000 recover all"
 //	dfly-sim -alg UGAL-L -load 0.4 -json -window 250 -trace 64 > run.json
@@ -53,8 +53,9 @@
 //	dfly-sim -alg UGAL-L -workload onoff -workload-params "on=50,off=450,pareto=1" -load 0.3
 //	dfly-sim -alg UGAL-L -workload trace -trace-file flows.txt -load 0
 //
-// Workloads: -traffic selects a parameterised traffic family from the
-// registry (where packets go) and -workload an arrival process (when
+// Workloads: -traffic selects a traffic family from the registry (where
+// packets go; the paper's names UR, WC, BitComplement, Tornado and
+// Permutation are accepted) and -workload an arrival process (when
 // packets are offered) — Bernoulli by default, ON/OFF bursty, drifting
 // hot-spot, collective phases, or replay of a "cycle src dst count"
 // flow trace via -trace-file. Arrival-process state rides in
@@ -101,8 +102,7 @@ const (
 func main() {
 	var (
 		algName = flag.String("alg", "UGAL-L_VCH", "routing algorithm (MIN, VAL, UGAL-L, UGAL-G, UGAL-L_VC, UGAL-L_VCH, UGAL-L_CR)")
-		pattern = flag.String("pattern", "UR", "traffic pattern (UR, WC, BitComplement, Tornado, Permutation)")
-		trafFam = flag.String("traffic", "", "traffic family from the registry instead of the -pattern enum: "+strings.Join(traffic.FamilyNames(), ", "))
+		trafFam = flag.String("traffic", "ur", "traffic family from the registry (or UR, WC, BitComplement, Tornado, Permutation): "+strings.Join(traffic.FamilyNames(), ", "))
 		trafPar = flag.String("traffic-params", "", `build parameters for -traffic as "k=v,k=v" (omitted keys take the family defaults)`)
 		wlFam   = flag.String("workload", "", "arrival-process family (default: bernoulli): "+strings.Join(workload.FamilyNames(), ", "))
 		wlPar   = flag.String("workload-params", "", `build parameters for -workload as "k=v,k=v"`)
@@ -211,7 +211,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	wl, disp, err := buildWorkload(*pattern, *trafFam, *trafPar, *wlFam, *wlPar, *wlTrace)
+	wl, err := buildWorkload(*trafFam, *trafPar, *wlFam, *wlPar, *wlTrace)
 	if err != nil {
 		fatal(err)
 	}
@@ -237,6 +237,9 @@ func main() {
 	}
 	sys, err := core.NewSystem(scfg)
 	if err != nil {
+		fatal(err)
+	}
+	if _, err := sys.TrafficFor(wl); err != nil {
 		fatal(err)
 	}
 	sys, err = applyFaults(info, sys, *failGlobal, *failRouters, *failSeed)
@@ -269,7 +272,7 @@ func main() {
 	}
 
 	if *sweep != "" {
-		runSweep(ctx, sys, alg, wl, disp, *sweep, *jobs, rc, *jsonOut, *seed)
+		runSweep(ctx, sys, alg, wl, *sweep, *jobs, rc, *jsonOut, *seed)
 		return
 	}
 
@@ -309,9 +312,9 @@ func main() {
 	}
 
 	if !*jsonOut {
-		fmt.Printf("simulating %v, %s routing, %s traffic, load %.3f\n", sys.Topo, alg, disp, *load)
+		fmt.Printf("simulating %v, %s routing, %s traffic, load %.3f\n", sys.Topo, alg, wl.Label(), *load)
 	}
-	res, err := sys.RunW(alg, wl, *load, rc, opts...)
+	res, err := sys.Run(alg, wl, *load, rc, opts...)
 	if err != nil {
 		fatalRun(err)
 	}
@@ -320,7 +323,7 @@ func main() {
 		rep := obs.NewReport("run")
 		rep.Topology = fmt.Sprintf("%v", sys.Topo)
 		rep.Algorithm = string(alg)
-		rep.Pattern = string(disp)
+		rep.Pattern = wl.Label()
 		rep.Seed = *seed
 		rep.Points = []obs.Point{{Load: *load, Result: obs.MakeResult(res)}}
 		if win != nil {
@@ -447,7 +450,7 @@ func applyFaults(info io.Writer, sys *core.System, failGlobal float64, failRoute
 // runSweep runs a latency-load curve on a worker pool and prints it as
 // an aligned table (or one JSON report), stopping two points after
 // saturation like the paper's plots.
-func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, disp core.Pattern, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64) {
+func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64) {
 	loads, err := parseSweep(spec)
 	if err != nil {
 		fatal(err)
@@ -456,9 +459,9 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 	pool.SetLog(os.Stderr)
 	if !jsonOut {
 		fmt.Printf("sweeping %v, %s routing, %s traffic: %d load points on %d workers\n",
-			sys.Topo, alg, disp, len(loads), pool.Jobs())
+			sys.Topo, alg, wl.Label(), len(loads), pool.Jobs())
 	}
-	pts, err := sys.SweepPoolW(pool, alg, wl, loads, rc, 2, core.WithContext(ctx))
+	pts, err := sys.Sweep(pool, alg, wl, loads, rc, 2, core.WithContext(ctx))
 	if err != nil {
 		fatalRun(err)
 	}
@@ -466,7 +469,7 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 		rep := obs.NewReport("sweep")
 		rep.Topology = fmt.Sprintf("%v", sys.Topo)
 		rep.Algorithm = string(alg)
-		rep.Pattern = string(disp)
+		rep.Pattern = wl.Label()
 		rep.Seed = seed
 		var dropped, delivered int64
 		for _, p := range pts {
@@ -514,61 +517,32 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 }
 
 // buildWorkload resolves the traffic/workload flags into the Workload
-// the run executes and the pattern string shown in reports. The legacy
-// -pattern enum path maps through core.PatternWorkload (bit-identical
-// results); -traffic selects a registry family directly and excludes an
-// explicit -pattern. The trace itself is parsed later, once the system
+// the run executes. The trace itself is parsed later, once the system
 // (and with it the terminal count) exists.
-func buildWorkload(pattern, trafFam, trafPar, wlFam, wlPar, traceFile string) (core.Workload, core.Pattern, error) {
+func buildWorkload(trafFam, trafPar, wlFam, wlPar, traceFile string) (core.Workload, error) {
 	var wl core.Workload
-	var disp core.Pattern
-	if trafFam != "" {
-		var clash error
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "pattern" {
-				clash = fmt.Errorf("-traffic %s replaces -pattern; set one, not both", trafFam)
-			}
-		})
-		if clash != nil {
-			return wl, disp, clash
-		}
-		params, err := parseParams("-traffic-params", trafPar)
-		if err != nil {
-			return wl, disp, err
-		}
-		wl.Traffic, wl.TrafficParams = trafFam, params
-	} else {
-		if trafPar != "" {
-			return wl, disp, fmt.Errorf("-traffic-params needs -traffic")
-		}
-		pat, err := core.ParsePattern(pattern)
-		if err != nil {
-			return wl, disp, err
-		}
-		wl = core.PatternWorkload(pat)
+	params, err := parseParams("-traffic-params", trafPar)
+	if err != nil {
+		return wl, err
 	}
+	wl.Traffic, wl.TrafficParams = trafFam, params
 	if wlFam != "" {
 		params, err := parseParams("-workload-params", wlPar)
 		if err != nil {
-			return wl, disp, err
+			return wl, err
 		}
 		wl.Source, wl.SourceParams = wlFam, params
 	} else if wlPar != "" {
-		return wl, disp, fmt.Errorf("-workload-params needs -workload")
+		return wl, fmt.Errorf("-workload-params needs -workload")
 	}
 	isTrace := strings.EqualFold(wlFam, "trace")
 	if traceFile != "" && !isTrace {
-		return wl, disp, fmt.Errorf("-trace-file needs -workload trace")
+		return wl, fmt.Errorf("-trace-file needs -workload trace")
 	}
 	if isTrace && traceFile == "" {
-		return wl, disp, fmt.Errorf("-workload trace needs -trace-file")
+		return wl, fmt.Errorf("-workload trace needs -trace-file")
 	}
-	if trafFam != "" || wlFam != "" {
-		disp = core.Pattern(wl.Label())
-	} else {
-		disp = core.Pattern(pattern)
-	}
-	return wl, disp, nil
+	return wl, nil
 }
 
 // parseTopoParams parses the -topo-params "k=v,k=v" list into the

@@ -1,12 +1,100 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"dragonfly/internal/obs"
 )
+
+// TestMain lets the test binary stand in for dfly-sim: with
+// DFLY_SIM_RUN_MAIN=1 in its environment it runs main on its arguments
+// instead of the tests, so runCLI can drive the real flag parsing and
+// exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv("DFLY_SIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs dfly-sim with args and returns its stdout, stderr and
+// exit code.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DFLY_SIM_RUN_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("running dfly-sim: %v", err)
+	}
+	return out.String(), errb.String(), code
+}
+
+// wcReport is the JSON report the removed -pattern WC flag produced for
+// the arguments TestTrafficWCReproducesPatternWC passes.
+const wcReport = `{
+  "schema_version": 1,
+  "kind": "run",
+  "topology": "dragonfly(p=2 a=4 h=2 g=9 N=72 k=7 k'=16)",
+  "algorithm": "UGAL-L",
+  "pattern": "WC",
+  "seed": 1,
+  "points": [
+    {
+      "load": 0.2,
+      "result": {
+        "offered": 0.2,
+        "accepted": 0.19689814814814816,
+        "latency_mean": 5.921015514809584,
+        "latency_min": 2,
+        "latency_max": 14,
+        "latency_count": 4254,
+        "min_latency_mean": 5.728979591836729,
+        "nonmin_latency_mean": 6.181818181818179,
+        "minimal_fraction": 0.5759285378467325,
+        "saturated": false,
+        "cycles": 608,
+        "drain_timeout": false,
+        "alive_terminals": 72
+      }
+    }
+  ]
+}
+`
+
+// TestTrafficWCReproducesPatternWC pins -traffic WC to the report the
+// old -pattern WC spelling produced, byte for byte.
+func TestTrafficWCReproducesPatternWC(t *testing.T) {
+	out, stderr, code := runCLI(t, "-alg", "UGAL-L", "-traffic", "WC", "-p", "2", "-a", "4", "-h", "2",
+		"-warmup", "300", "-measure", "300", "-load", "0.2", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if out != wcReport {
+		t.Errorf("-traffic WC report:\n%s\nwant the -pattern WC report:\n%s", out, wcReport)
+	}
+}
+
+// TestPatternFlagRemoved checks -pattern is gone: the flag parser
+// rejects it as undefined.
+func TestPatternFlagRemoved(t *testing.T) {
+	_, stderr, code := runCLI(t, "-pattern", "WC", "-p", "2", "-a", "4", "-h", "2")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -pattern") {
+		t.Errorf("-pattern: exit %d, stderr %q; want exit 2 for an undefined flag", code, stderr)
+	}
+}
 
 // brokenWriter fails after accepting n bytes, like a pipe whose reader
 // went away mid-document.

@@ -8,7 +8,7 @@
 // A minimal session:
 //
 //	sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4})
-//	res, err := sys.Run(core.AlgUGALL, core.PatternWC, 0.3, sim.RunConfig{...})
+//	res, err := sys.Run(core.AlgUGALL, core.Workload{Traffic: "wc"}, 0.3, sim.RunConfig{...})
 package core
 
 import (
@@ -51,33 +51,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("core: unknown routing algorithm %q (supported: %v)", s, Algorithms())
 }
 
-// Pattern names a traffic pattern.
-type Pattern string
-
-// The synthetic patterns used by the evaluation plus standard extras.
-const (
-	PatternUR            Pattern = "UR"
-	PatternWC            Pattern = "WC"
-	PatternBitComplement Pattern = "BitComplement"
-	PatternTornado       Pattern = "Tornado"
-	PatternPermutation   Pattern = "Permutation"
-)
-
-// Patterns lists the supported traffic patterns.
-func Patterns() []Pattern {
-	return []Pattern{PatternUR, PatternWC, PatternBitComplement, PatternTornado, PatternPermutation}
-}
-
-// ParsePattern resolves a name to a Pattern.
-func ParsePattern(s string) (Pattern, error) {
-	for _, p := range Patterns() {
-		if string(p) == s {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("core: unknown traffic pattern %q (supported: %v)", s, Patterns())
-}
-
 // SystemConfig describes a machine and its simulation parameters. Zero
 // values take the paper's defaults.
 type SystemConfig struct {
@@ -108,7 +81,7 @@ type SystemConfig struct {
 	// Shards is the engine shard count every network of this system is
 	// partitioned into (see sim.Network.SetShards). 0 or 1 runs the
 	// serial engine; values are clamped to the group count. Results are
-	// bit-identical for every shard count; WithShards overrides per run.
+	// bit-identical for every shard count.
 	Shards int
 	// Faults, when non-nil, is the fault plan (internal/fault.Plan) the
 	// system simulates under: routing and the simulator consume the
@@ -241,7 +214,6 @@ func (s *System) SimConfig(alg Algorithm) sim.Config {
 		GlobalLatency: s.cfg.GlobalLatency,
 		DelayCredits:  alg == AlgUGALLCR,
 		Seed:          s.cfg.Seed,
-		Shards:        s.cfg.Shards,
 	}
 }
 
@@ -275,30 +247,15 @@ func routingOver(alg Algorithm, t routing.Topo) (sim.Routing, error) {
 	}
 }
 
-// Traffic constructs the traffic pattern over this topology.
-//
-// Deprecated: the enum is a shim over the traffic registry — use
-// TrafficFor with a Workload to reach parameterised families
-// (traffic.FamilyNames). The registry builds the exact patterns this
-// path built, so existing callers lose nothing by staying.
-func (s *System) Traffic(p Pattern) (sim.Traffic, error) {
-	return s.TrafficFor(PatternWorkload(p))
-}
-
-// NewNetwork builds a fresh simulation network for (alg, pattern); see
-// NewNetworkFor for the general Workload form.
-func (s *System) NewNetwork(alg Algorithm, pattern Pattern) (*sim.Network, error) {
-	return s.NewNetworkFor(alg, PatternWorkload(pattern))
-}
-
-// NewNetworkFor builds a fresh simulation network for (alg, workload).
-// Each load point of a sweep should use a fresh network. With a
-// timeline attached, the network gets its own switchable topology view
-// (epoch swaps are per-network state, so concurrent sweep points stay
-// independent) and the schedule is installed before the first cycle.
-// The workload's source (when one is set) is installed before the
-// network is returned, so snapshots taken from it carry the source
-// fingerprint and per-terminal state.
+// NewNetworkFor builds a fresh simulation network for (alg, workload),
+// partitioned into the system's configured shard count. Each load point
+// of a sweep should use a fresh network. With a timeline attached, the
+// network gets its own switchable topology view (epoch swaps are
+// per-network state, so concurrent sweep points stay independent) and
+// the schedule is installed before the first cycle. The workload's
+// source (when one is set) is installed before the network is
+// returned, so snapshots taken from it carry the source fingerprint
+// and per-terminal state.
 func (s *System) NewNetworkFor(alg Algorithm, w Workload) (*sim.Network, error) {
 	tr, err := s.TrafficFor(w)
 	if err != nil {
@@ -308,17 +265,30 @@ func (s *System) NewNetworkFor(alg Algorithm, w Workload) (*sim.Network, error) 
 	if err != nil {
 		return nil, err
 	}
+	var st sim.Topology = s.Topo
+	rv := s.routingTopo()
+	if s.deg != nil {
+		st = s.deg // the simulator detects Alive and kills the dead links
+	}
 	if s.sched != nil {
 		sw := topology.NewSwitched(s.Topo)
 		sw.SetEpoch(s.sched.Epochs[0].View)
-		rt, err := routingOver(alg, sw)
-		if err != nil {
+		st, rv = sw, sw
+	}
+	rt, err := routingOver(alg, rv)
+	if err != nil {
+		return nil, err
+	}
+	net, err := sim.New(st, s.SimConfig(alg), rt, tr)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.Shards != 0 {
+		if err := net.SetShards(s.cfg.Shards); err != nil {
 			return nil, err
 		}
-		net, err := sim.New(sw, s.SimConfig(alg), rt, tr)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if s.sched != nil {
 		epochs := make([]sim.Epoch, len(s.sched.Epochs))
 		for i, e := range s.sched.Epochs {
 			epochs[i] = sim.Epoch{Start: e.Start, View: e.View}
@@ -326,19 +296,6 @@ func (s *System) NewNetworkFor(alg Algorithm, w Workload) (*sim.Network, error) 
 		if err := net.SetTimeline(epochs); err != nil {
 			return nil, err
 		}
-		return withSource(net, src)
-	}
-	rt, err := s.Routing(alg)
-	if err != nil {
-		return nil, err
-	}
-	var st sim.Topology = s.Topo
-	if s.deg != nil {
-		st = s.deg // the simulator detects Alive and kills the dead links
-	}
-	net, err := sim.New(st, s.SimConfig(alg), rt, tr)
-	if err != nil {
-		return nil, err
 	}
 	return withSource(net, src)
 }
@@ -355,22 +312,24 @@ func withSource(net *sim.Network, src sim.Source) (*sim.Network, error) {
 	return net, nil
 }
 
-// Run builds a fresh network and executes one measured simulation at the
-// given load. Trailing options attach observability (WithCollector,
-// WithTrace) and progress reporting (WithProgress).
-func (s *System) Run(alg Algorithm, pattern Pattern, load float64, rc sim.RunConfig, opts ...RunOption) (sim.Result, error) {
+// Run builds a fresh network for (alg, workload) and executes one
+// measured simulation at the given load. The zero-value Workload is
+// uniform random traffic under Bernoulli injection. Trailing options
+// attach observability (WithCollector, WithTrace) and progress
+// reporting (WithProgress).
+func (s *System) Run(alg Algorithm, w Workload, load float64, rc sim.RunConfig, opts ...RunOption) (sim.Result, error) {
 	o := applyOptions(opts)
-	res, err := s.runWith(alg, PatternWorkload(pattern), load, rc, &o)
+	res, err := s.runWith(alg, w, load, rc, &o)
 	if err != nil {
 		return res, err
 	}
 	if o.progress != nil {
-		o.progress(ProgressEvent{Algorithm: alg, Pattern: pattern, Load: load, Index: 0, Total: 1, Result: res})
+		o.progress(ProgressEvent{Algorithm: alg, Pattern: w.Label(), Load: load, Index: 0, Total: 1, Result: res})
 	}
 	return res, nil
 }
 
-// runWith is Run minus the progress callback: the piece SweepPool's
+// runWith is Run minus the progress callback: the piece Sweep's
 // workers execute concurrently (progress stays serial, in the fold).
 func (s *System) runWith(alg Algorithm, w Workload, load float64, rc sim.RunConfig, o *runOptions) (sim.Result, error) {
 	net, err := s.NewNetworkFor(alg, w)
@@ -382,11 +341,6 @@ func (s *System) runWith(alg Algorithm, w Workload, load float64, rc sim.RunConf
 		// registry-built one — the hook composite sources like
 		// workload.MultiTenant come in through.
 		if err := net.SetSource(o.source); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	if o.shards > 0 {
-		if err := net.SetShards(o.shards); err != nil {
 			return sim.Result{}, err
 		}
 	}
@@ -421,41 +375,27 @@ type SweepPoint struct {
 	Result sim.Result
 }
 
-// Sweep runs a load sweep with a fresh network per point, stopping early
-// after the first saturated point beyond stopAfterSaturated consecutive
-// saturations (0 disables early stopping). Load points are dispatched to
-// the process-wide shared worker pool (parallel.Default, sized to
-// GOMAXPROCS); use SweepPool to control the worker count.
-func (s *System) Sweep(alg Algorithm, pattern Pattern, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
-	return s.SweepPool(nil, alg, pattern, loads, rc, stopAfterSaturated, opts...)
-}
-
-// SweepPool is Sweep running on an explicit worker pool (nil means
-// parallel.Default()). Load points are independent jobs — each builds a
-// fresh network whose seed depends only on the system configuration, so
-// the returned series is bit-identical for every pool size, jobs=1
-// included.
+// Sweep runs a load sweep of (alg, workload) with a fresh network per
+// point, stopping early after the first saturated point beyond
+// stopAfterSaturated consecutive saturations (0 disables early
+// stopping). Load points are dispatched to pool; nil means the
+// process-wide shared pool (parallel.Default, sized to GOMAXPROCS).
+// Load points are independent jobs — each builds a fresh network whose
+// seed depends only on the system configuration, so the returned
+// series is bit-identical for every pool size, jobs=1 included.
 //
 // Early stopping is preserved by speculative waves: up to pool.Jobs()
 // consecutive load points run concurrently, then the serial
 // stop-after-saturation rule folds the wave into the series, truncating
-// it (and discarding any speculative excess) exactly where the serial
-// sweep would have stopped. Errors behave like the serial sweep too: the
-// points before the first failing load are returned alongside the error.
+// it (and discarding any speculative excess) exactly where a one-job
+// sweep would have stopped. Errors behave the same way: the points
+// before the first failing load are returned alongside the error.
 //
 // Options: a WithCollector/WithTrace sink observes every load point
 // (concurrently, when the pool runs several jobs — see WithCollector);
 // a WithProgress callback fires in the serial fold, in load order, and
 // never sees points a truncation discarded.
-func (s *System) SweepPool(pool *parallel.Pool, alg Algorithm, pattern Pattern, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
-	return s.sweepPool(pool, alg, PatternWorkload(pattern), pattern, loads, rc, stopAfterSaturated, opts...)
-}
-
-// sweepPool is the shared sweep engine: the legacy Pattern entry points
-// and the Workload entry points differ only in how the workload is
-// specified and how it is displayed (disp) in progress events and
-// errors.
-func (s *System) sweepPool(pool *parallel.Pool, alg Algorithm, w Workload, disp Pattern, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
+func (s *System) Sweep(pool *parallel.Pool, alg Algorithm, w Workload, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
 	if pool == nil {
 		pool = parallel.Default()
 	}
@@ -470,6 +410,7 @@ func (s *System) sweepPool(pool *parallel.Pool, alg Algorithm, w Workload, disp 
 	var out []SweepPoint
 	saturated := 0
 	ctx := o.context()
+	disp := w.Label()
 	wave := pool.Jobs()
 	for lo := 0; lo < len(loads); lo += wave {
 		// Skip queued waves once the sweep's context is done: the wave

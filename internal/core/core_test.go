@@ -41,14 +41,42 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
+// TestParsePattern checks that a workload names its traffic by any
+// paper-style spelling: each one builds the same pattern as its
+// registry family, and an unknown name is rejected.
 func TestParsePattern(t *testing.T) {
-	for _, p := range Patterns() {
-		got, err := ParsePattern(string(p))
-		if err != nil || got != p {
-			t.Errorf("ParsePattern(%q) = %v, %v", p, got, err)
+	sys, err := NewSystem(SystemConfig{P: 2, A: 4, H: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, family := range map[string]string{
+		"UR":            "ur",
+		"WC":            "wc",
+		"BitComplement": "bitcomp",
+		"Tornado":       "tornado",
+		"Permutation":   "perm",
+	} {
+		got, err := sys.TrafficFor(Workload{Traffic: name})
+		if err != nil {
+			t.Errorf("TrafficFor(%q): %v", name, err)
+			continue
+		}
+		want, err := sys.TrafficFor(Workload{Traffic: family})
+		if err != nil {
+			t.Fatalf("TrafficFor(%q): %v", family, err)
+		}
+		if got.Name() != want.Name() {
+			t.Errorf("TrafficFor(%q).Name() = %q, want %q", name, got.Name(), want.Name())
+		}
+		for src := 0; src < sys.Topo.Nodes(); src++ {
+			r := uint64(src) * 0x9e3779b97f4a7c15
+			if g, w := got.Dest(src, r), want.Dest(src, r); g != w {
+				t.Errorf("%s: Dest(%d) = %d, %s gives %d", name, src, g, family, w)
+				break
+			}
 		}
 	}
-	if _, err := ParsePattern("bogus"); err == nil {
+	if _, err := sys.TrafficFor(Workload{Traffic: "bogus"}); err == nil {
 		t.Error("bogus pattern accepted")
 	}
 }
@@ -83,15 +111,15 @@ func TestRoutingAndTrafficConstruction(t *testing.T) {
 			t.Errorf("Routing(%s).Name() = %s", a, rt.Name())
 		}
 	}
-	for _, p := range Patterns() {
-		if _, err := sys.Traffic(p); err != nil {
-			t.Errorf("Traffic(%s): %v", p, err)
+	for _, p := range []string{"UR", "WC", "BitComplement", "Tornado", "Permutation"} {
+		if _, err := sys.TrafficFor(Workload{Traffic: p}); err != nil {
+			t.Errorf("TrafficFor(%s): %v", p, err)
 		}
 	}
 	if _, err := sys.Routing("bogus"); err == nil {
 		t.Error("bogus routing accepted")
 	}
-	if _, err := sys.Traffic("bogus"); err == nil {
+	if _, err := sys.TrafficFor(Workload{Traffic: "bogus"}); err == nil {
 		t.Error("bogus traffic accepted")
 	}
 }
@@ -102,7 +130,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
-	res, err := sys.Run(AlgUGALLVCH, PatternUR, 0.2, rc)
+	res, err := sys.Run(AlgUGALLVCH, Workload{Traffic: "ur"}, 0.2, rc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -119,7 +147,7 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 1500}
 	// MIN on WC saturates at 1/8: a sweep over many loads must stop early.
 	loads := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	pts, err := sys.Sweep(AlgMIN, PatternWC, loads, rc, 1)
+	pts, err := sys.Sweep(nil, AlgMIN, Workload{Traffic: "wc"}, loads, rc, 1)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
@@ -138,7 +166,7 @@ func TestSweepAllPointsWhenUnderLoad(t *testing.T) {
 	}
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
 	loads := []float64{0.05, 0.1, 0.15}
-	pts, err := sys.Sweep(AlgUGALG, PatternUR, loads, rc, 2)
+	pts, err := sys.Sweep(nil, AlgUGALG, Workload{Traffic: "ur"}, loads, rc, 2)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}

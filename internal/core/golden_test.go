@@ -65,7 +65,7 @@ func hashResult(w io.Writer, tag string, res sim.Result) {
 
 type goldenRun struct {
 	alg     core.Algorithm
-	pattern core.Pattern
+	pattern string
 	load    float64
 }
 
@@ -78,24 +78,24 @@ func goldenHash(t *testing.T, seed uint64, failGlobals bool) string {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, "UR", 0.3},
+		{core.AlgVAL, "WC", 0.2},
+		{core.AlgUGALLVCH, "UR", 0.3},
+		{core.AlgUGALLVCH, "WC", 0.25},
 	}
 	if failGlobals {
 		plan := fault.NewPlan(seed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		sys = sys.WithFaults(plan)
 		runs = []goldenRun{
-			{core.AlgMIN, core.PatternUR, 0.2},
-			{core.AlgUGALL, core.PatternUR, 0.25},
-			{core.AlgVAL, core.PatternWC, 0.15},
+			{core.AlgMIN, "UR", 0.2},
+			{core.AlgUGALL, "UR", 0.25},
+			{core.AlgVAL, "WC", 0.15},
 		}
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC())
+		res, err := sys.Run(r.alg, core.Workload{Traffic: r.pattern}, r.load, goldenRC())
 		if err != nil {
 			t.Fatalf("seed %d %s/%s@%.2f: %v", seed, r.alg, r.pattern, r.load, err)
 		}

@@ -33,33 +33,33 @@ func shardCounts() []int {
 	return counts
 }
 
-// goldenHashSharded is goldenHash with a WithShards option: same
-// 72-node system, same scenario set, same result folding.
+// goldenHashSharded is goldenHash on a sharded system: same 72-node
+// machine, same scenario set, same result folding.
 func goldenHashSharded(t *testing.T, seed uint64, failGlobals bool, shards int) string {
 	t.Helper()
-	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, "UR", 0.3},
+		{core.AlgVAL, "WC", 0.2},
+		{core.AlgUGALLVCH, "UR", 0.3},
+		{core.AlgUGALLVCH, "WC", 0.25},
 	}
 	if failGlobals {
 		plan := fault.NewPlan(seed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		sys = sys.WithFaults(plan)
 		runs = []goldenRun{
-			{core.AlgMIN, core.PatternUR, 0.2},
-			{core.AlgUGALL, core.PatternUR, 0.25},
-			{core.AlgVAL, core.PatternWC, 0.15},
+			{core.AlgMIN, "UR", 0.2},
+			{core.AlgUGALL, "UR", 0.25},
+			{core.AlgVAL, "WC", 0.15},
 		}
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC(), core.WithShards(shards))
+		res, err := sys.Run(r.alg, core.Workload{Traffic: r.pattern}, r.load, goldenRC())
 		if err != nil {
 			t.Fatalf("seed %d shards %d %s/%s@%.2f: %v", seed, shards, r.alg, r.pattern, r.load, err)
 		}
@@ -100,15 +100,15 @@ func TestShardedMatchesFaultedGolden(t *testing.T) {
 // accounting must not depend on the shard count.
 func TestShardedTimelineMatchesSerial(t *testing.T) {
 	runs := []goldenRun{
-		{core.AlgUGALL, core.PatternUR, 0.25},
-		{core.AlgMIN, core.PatternUR, 0.2},
+		{core.AlgUGALL, "UR", 0.25},
+		{core.AlgMIN, "UR", 0.2},
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		hash := func(shards int) string {
-			sys := failRecoverSystem(t, seed)
+			sys := failRecoverSystem(t, seed, shards)
 			h := fnv.New64a()
 			for _, r := range runs {
-				res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC(), core.WithShards(shards))
+				res, err := sys.Run(r.alg, core.Workload{Traffic: r.pattern}, r.load, goldenRC())
 				if err != nil {
 					t.Fatalf("seed %d shards %d: %v", seed, shards, err)
 				}
@@ -141,25 +141,25 @@ func TestSharded1KNodeMatchesSerial(t *testing.T) {
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
 	for _, seed := range seeds {
 		for _, withTimeline := range []bool{false, true} {
-			sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4, Seed: seed})
-			if err != nil {
-				t.Fatalf("NewSystem: %v", err)
-			}
-			if withTimeline {
-				tl := fault.NewTimeline(seed).
-					FailChannelsAt(150, topology.ClassGlobal, 20).
-					FailRouterAt(150, 7).
-					RecoverAllAt(450)
-				sched, err := tl.Compile(sys.Topo)
-				if err != nil {
-					t.Fatalf("Compile: %v", err)
-				}
-				if sys, err = sys.WithTimeline(sched); err != nil {
-					t.Fatalf("WithTimeline: %v", err)
-				}
-			}
 			hash := func(shards int) string {
-				res, err := sys.Run(core.AlgUGALLVCH, core.PatternUR, 0.3, rc, core.WithShards(shards))
+				sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4, Seed: seed, Shards: shards})
+				if err != nil {
+					t.Fatalf("NewSystem: %v", err)
+				}
+				if withTimeline {
+					tl := fault.NewTimeline(seed).
+						FailChannelsAt(150, topology.ClassGlobal, 20).
+						FailRouterAt(150, 7).
+						RecoverAllAt(450)
+					sched, err := tl.Compile(sys.Topo)
+					if err != nil {
+						t.Fatalf("Compile: %v", err)
+					}
+					if sys, err = sys.WithTimeline(sched); err != nil {
+						t.Fatalf("WithTimeline: %v", err)
+					}
+				}
+				res, err := sys.Run(core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3, rc)
 				if err != nil {
 					t.Fatalf("seed %d timeline=%v shards %d: %v", seed, withTimeline, shards, err)
 				}

@@ -1,11 +1,10 @@
 package core_test
 
-// Workload API equivalence and determinism tests — the PR 10 headline
-// invariants. The registry-unified Workload path must (a) reproduce the
-// legacy enum path bit for bit when it spells out the same computation
-// (registry "UR" traffic + explicit bernoulli arrivals ≡ core.PatternUR
-// through Run), pinned transitively to the pre-refactor engine by the
-// frozen golden constants; (b) keep the serial ≡ sharded promise for
+// Workload API equivalence and determinism tests. The Workload path
+// must (a) reproduce the frozen golden constants bit for bit when it
+// spells out the default computation (registry "UR" traffic + explicit
+// bernoulli arrivals ≡ the zero-value Workload), pinned transitively to
+// the pre-refactor engine; (b) keep the serial ≡ sharded promise for
 // every stateful arrival process; and (c) keep the resume-from-snapshot
 // ≡ uninterrupted promise with source state riding in dfly-snap/1,
 // across shard-count changes in both directions.
@@ -26,40 +25,36 @@ import (
 
 // goldenHashW mirrors goldenHash, but maps every scenario through the
 // registry spelling — uppercase traffic family (canonicalisation is
-// case-folded) plus an explicit "bernoulli" source — and runs it with
-// RunW at the given shard count. Any draw-order difference between the
+// case-folded) plus an explicit "bernoulli" source — and runs it on a
+// system with the given shard count. Any draw-order difference between the
 // registry bernoulli source and the engine's built-in Bernoulli gate
 // shows up as a golden-hash mismatch.
 func goldenHashW(t *testing.T, seed uint64, failGlobals bool, shards int) string {
 	t.Helper()
-	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, "UR", 0.3},
+		{core.AlgVAL, "WC", 0.2},
+		{core.AlgUGALLVCH, "UR", 0.3},
+		{core.AlgUGALLVCH, "WC", 0.25},
 	}
 	if failGlobals {
 		plan := fault.NewPlan(seed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		sys = sys.WithFaults(plan)
 		runs = []goldenRun{
-			{core.AlgMIN, core.PatternUR, 0.2},
-			{core.AlgUGALL, core.PatternUR, 0.25},
-			{core.AlgVAL, core.PatternWC, 0.15},
+			{core.AlgMIN, "UR", 0.2},
+			{core.AlgUGALL, "UR", 0.25},
+			{core.AlgVAL, "WC", 0.15},
 		}
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		wl := core.Workload{Traffic: string(r.pattern), Source: "bernoulli"}
-		var opts []core.RunOption
-		if shards > 0 {
-			opts = append(opts, core.WithShards(shards))
-		}
-		res, err := sys.RunW(r.alg, wl, r.load, goldenRC(), opts...)
+		wl := core.Workload{Traffic: r.pattern, Source: "bernoulli"}
+		res, err := sys.Run(r.alg, wl, r.load, goldenRC())
 		if err != nil {
 			t.Fatalf("seed %d %s/%s@%.2f: %v", seed, r.alg, r.pattern, r.load, err)
 		}
@@ -147,11 +142,15 @@ func TestShardedWorkloadMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSystem: %v", err)
 		}
-		serial, err := sys.RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
+		serial, err := sys.Run(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
 		if err != nil {
 			t.Fatalf("%s: serial run: %v", sc.name, err)
 		}
-		sharded, err := sys.RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(), core.WithShards(4))
+		sys4, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: 1, Shards: 4})
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		sharded, err := sys4.Run(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
 		if err != nil {
 			t.Fatalf("%s: sharded run: %v", sc.name, err)
 		}
@@ -174,8 +173,8 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 			SourceParams: map[string]int{"on": 40, "off": 120}}},
 		{"trace", core.Workload{Traffic: "ur", Source: "trace", Trace: testTrace(t)}},
 	}
-	build := func(seed uint64) *core.System {
-		sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	build := func(seed uint64, shards int) *core.System {
+		sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 		if err != nil {
 			t.Fatalf("NewSystem: %v", err)
 		}
@@ -183,7 +182,7 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		for _, seed := range []uint64{1, 2} {
-			res, err := build(seed).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
+			res, err := build(seed, 0).Run(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
 			if err != nil {
 				t.Fatalf("%s seed %d: uninterrupted run: %v", sc.name, seed, err)
 			}
@@ -197,8 +196,7 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 				{4, 1, 700},
 			} {
 				var snap []byte
-				_, err := build(seed).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
-					core.WithShards(pair.snapShards),
+				_, err := build(seed, pair.snapShards).Run(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
 					core.WithCheckpoint(pair.every, func(b []byte) error {
 						snap = append([]byte(nil), b...)
 						return errStopAfterSnapshot
@@ -206,8 +204,8 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 				if !errors.Is(err, errStopAfterSnapshot) {
 					t.Fatalf("%s seed %d %+v: capture run: %v, want the sink's sentinel", sc.name, seed, pair, err)
 				}
-				res, err := build(seed).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
-					core.WithShards(pair.resShards), core.WithResume(snap))
+				res, err := build(seed, pair.resShards).Run(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
+					core.WithResume(snap))
 				if err != nil {
 					t.Fatalf("%s seed %d %+v: resumed run: %v", sc.name, seed, pair, err)
 				}
@@ -230,7 +228,7 @@ func TestWorkloadSnapshotRejectsDifferentSource(t *testing.T) {
 	}
 	onoff := core.Workload{Traffic: "ur", Source: "onoff"}
 	var snap []byte
-	_, err = sys.RunW(core.AlgUGALLVCH, onoff, 0.3, goldenRC(),
+	_, err = sys.Run(core.AlgUGALLVCH, onoff, 0.3, goldenRC(),
 		core.WithCheckpoint(300, func(b []byte) error {
 			snap = append([]byte(nil), b...)
 			return errStopAfterSnapshot
@@ -240,16 +238,16 @@ func TestWorkloadSnapshotRejectsDifferentSource(t *testing.T) {
 	}
 	// Different source family → different fingerprint.
 	drift := core.Workload{Traffic: "ur", Source: "drift"}
-	if _, err := sys.RunW(core.AlgUGALLVCH, drift, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sys.Run(core.AlgUGALLVCH, drift, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume under drift source: %v, want sim.ErrBadSnapshot", err)
 	}
 	// Same family, different parameters → different fingerprint.
 	tuned := core.Workload{Traffic: "ur", Source: "onoff", SourceParams: map[string]int{"on": 50}}
-	if _, err := sys.RunW(core.AlgUGALLVCH, tuned, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sys.Run(core.AlgUGALLVCH, tuned, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume with retuned dwell: %v, want sim.ErrBadSnapshot", err)
 	}
 	// Built-in engine Bernoulli (no source) → different fingerprint.
-	if _, err := sys.Run(core.AlgUGALLVCH, core.PatternUR, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sys.Run(core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume without a source: %v, want sim.ErrBadSnapshot", err)
 	}
 }

@@ -149,7 +149,7 @@ func MultiTenant(s Scale) ([]*Figure, error) {
 					return err
 				}
 				win := obs.NewWindows(obs.WindowsConfig{Width: window, Terminals: terminals})
-				res, err := sys.RunW(core.AlgUGALL, core.Workload{Traffic: "ur"}, mtLoad, s.runCfg(),
+				res, err := sys.Run(core.AlgUGALL, core.Workload{Traffic: "ur"}, mtLoad, s.runCfg(),
 					core.WithSource(mt), core.WithCollector(win))
 				if err != nil {
 					return err

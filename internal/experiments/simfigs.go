@@ -28,12 +28,19 @@ func (s Scale) runCfg() sim.RunConfig {
 	}
 }
 
-// sweep runs a latency-load curve for one algorithm/pattern pair,
+// The evaluation's two traffic patterns (Section 4.1), spelled as the
+// figures label them.
+var (
+	ur = core.Workload{Traffic: "UR"}
+	wc = core.Workload{Traffic: "WC"}
+)
+
+// sweep runs a latency-load curve for one algorithm/workload pair,
 // stopping two points after saturation like the paper's plots. The load
 // points run on the scale's worker pool.
-func (s Scale) sweep(sys *core.System, alg core.Algorithm, pattern core.Pattern, loads []float64) (Series, error) {
+func (s Scale) sweep(sys *core.System, alg core.Algorithm, w core.Workload, loads []float64) (Series, error) {
 	ser := Series{Name: string(alg)}
-	points, err := sys.SweepPool(s.Pool(), alg, pattern, loads, s.runCfg(), 2)
+	points, err := sys.Sweep(s.Pool(), alg, w, loads, s.runCfg(), 2)
 	if err != nil {
 		return ser, err
 	}
@@ -51,15 +58,15 @@ func (s Scale) wcLoads() []float64 { return s.loads(0.05, 0.5, 0.05) }
 
 // patternCases are the UR/WC halves shared by Figures 8 and 10.
 func (s Scale) patternCases() []struct {
-	pattern core.Pattern
+	pattern core.Workload
 	loads   []float64
 } {
 	return []struct {
-		pattern core.Pattern
+		pattern core.Workload
 		loads   []float64
 	}{
-		{core.PatternUR, s.urLoads()},
-		{core.PatternWC, s.wcLoads()},
+		{ur, s.urLoads()},
+		{wc, s.wcLoads()},
 	}
 }
 
@@ -84,7 +91,7 @@ func (s Scale) routingComparison(sys *core.System, algs []core.Algorithm, out []
 		j := jobs[k]
 		ser, err := s.sweep(sys, j.alg, cases[j.fig].pattern, cases[j.fig].loads)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", j.alg, cases[j.fig].pattern, err)
+			return fmt.Errorf("%s/%s: %w", j.alg, cases[j.fig].pattern.Label(), err)
 		}
 		sers[k] = ser
 		return nil
@@ -139,7 +146,7 @@ func Fig09(s Scale) (*Figure, error) {
 	sers := make([]Series, len(algs))
 	err = s.Pool().ForEach(len(algs), func(ai int) error {
 		alg := algs[ai]
-		net, err := sys.NewNetwork(alg, core.PatternWC)
+		net, err := sys.NewNetworkFor(alg, wc)
 		if err != nil {
 			return err
 		}
@@ -219,7 +226,7 @@ func Fig11(s Scale) ([]*Figure, error) {
 		if err != nil {
 			return err
 		}
-		pts, err := sys.SweepPool(s.Pool(), core.AlgUGALL, core.PatternWC, s.wcLoads(), s.runCfg(), 1)
+		pts, err := sys.Sweep(s.Pool(), core.AlgUGALL, wc, s.wcLoads(), s.runCfg(), 1)
 		if err != nil {
 			return err
 		}
@@ -273,7 +280,7 @@ func Fig12(s Scale) ([]*Figure, error) {
 		var res sim.Result
 		var rerr error
 		s.Pool().Work(func() {
-			res, rerr = sys.Run(core.AlgUGALL, core.PatternWC, 0.25, rc)
+			res, rerr = sys.Run(core.AlgUGALL, wc, 0.25, rc)
 		})
 		if rerr != nil {
 			return rerr
@@ -329,7 +336,7 @@ func Fig14(s Scale) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		ser, err := s.sweep(sys, core.AlgUGALL, core.PatternWC, s.wcLoads())
+		ser, err := s.sweep(sys, core.AlgUGALL, wc, s.wcLoads())
 		if err != nil {
 			return err
 		}
@@ -353,14 +360,14 @@ func Fig14(s Scale) (*Figure, error) {
 func Fig16(s Scale) ([]*Figure, error) {
 	algs := []core.Algorithm{core.AlgUGALLVCH, core.AlgUGALLCR, core.AlgUGALG}
 	cases := []struct {
-		pattern core.Pattern
+		pattern core.Workload
 		buf     int
 		loads   []float64
 	}{
-		{core.PatternWC, 16, s.wcLoads()},
-		{core.PatternWC, 256, s.wcLoads()},
-		{core.PatternUR, 16, s.urLoads()},
-		{core.PatternUR, 256, s.urLoads()},
+		{wc, 16, s.wcLoads()},
+		{wc, 256, s.wcLoads()},
+		{ur, 16, s.urLoads()},
+		{ur, 256, s.urLoads()},
 	}
 	out := make([]*Figure, len(cases))
 	systems := make([]*core.System, len(cases))
@@ -371,12 +378,12 @@ func Fig16(s Scale) ([]*Figure, error) {
 		}
 		systems[i] = sys
 		out[i] = &Figure{
-			ID:     fmt.Sprintf("Figure 16 (%s, buffers=%d)", tc.pattern, tc.buf),
+			ID:     fmt.Sprintf("Figure 16 (%s, buffers=%d)", tc.pattern.Label(), tc.buf),
 			Title:  "Credit round-trip latency mechanism",
 			XLabel: "offered load",
 			YLabel: "avg latency (cycles), * = saturated",
 		}
-		if tc.pattern == core.PatternWC {
+		if tc.pattern.Traffic == wc.Traffic {
 			out[i].Notes = append(out[i].Notes,
 				"expected shape: UGAL-L_CR cuts the minimal-packet latency hump and is buffer-size independent")
 		}
@@ -397,7 +404,7 @@ func Fig16(s Scale) ([]*Figure, error) {
 		tc := cases[j.fig]
 		ser, err := s.sweep(systems[j.fig], j.alg, tc.pattern, tc.loads)
 		if err != nil {
-			return fmt.Errorf("%s/%s/buf%d: %w", j.alg, tc.pattern, tc.buf, err)
+			return fmt.Errorf("%s/%s/buf%d: %w", j.alg, tc.pattern.Label(), tc.buf, err)
 		}
 		sers[k] = ser
 		return nil
@@ -409,32 +416,4 @@ func Fig16(s Scale) ([]*Figure, error) {
 		out[j.fig].Series = append(out[j.fig].Series, sers[k])
 	}
 	return out, nil
-}
-
-// MinLatencyComparison distils the Figure 16 headline into two numbers:
-// the minimally-routed packet latency of UGAL-L_VCH versus UGAL-L_CR at
-// WC load 0.3. The two runs execute concurrently.
-func MinLatencyComparison(s Scale, buf int) (vch, cr float64, err error) {
-	sys, err := s.evalSystem(buf)
-	if err != nil {
-		return 0, 0, err
-	}
-	algs := []core.Algorithm{core.AlgUGALLVCH, core.AlgUGALLCR}
-	lat := make([]float64, len(algs))
-	err = s.Pool().ForEach(len(algs), func(i int) error {
-		var res sim.Result
-		var rerr error
-		s.Pool().Work(func() {
-			res, rerr = sys.Run(algs[i], core.PatternWC, 0.3, s.runCfg())
-		})
-		if rerr != nil {
-			return rerr
-		}
-		lat[i] = res.MinLatency.Mean()
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return lat[0], lat[1], nil
 }

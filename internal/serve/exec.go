@@ -195,7 +195,7 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		var res sim.Result
 		var runErr error
 		if err := s.pool.WorkCtx(ctx, func() {
-			res, runErr = sys.RunW(alg, wl, spec.Loads[0], rc, opts...)
+			res, runErr = sys.Run(alg, wl, spec.Loads[0], rc, opts...)
 		}); err != nil {
 			return nil, fmt.Errorf("serve: canceled waiting for a simulation slot: %w", err)
 		}
@@ -208,10 +208,10 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		}
 
 	case KindSweep:
-		// SweepPool is a coordinator — it wraps its own leaf work in
+		// Sweep is a coordinator — it wraps its own leaf work in
 		// pool.Work — so it must not itself run under a pool slot.
 		// Completed points stream out as "point" events in load order.
-		pts, err := sys.SweepPoolW(s.pool, alg, wl, spec.Loads, rc, 2,
+		pts, err := sys.Sweep(s.pool, alg, wl, spec.Loads, rc, 2,
 			core.WithContext(ctx),
 			core.WithProgress(func(ev core.ProgressEvent) {
 				job.publish(Event{Type: "point", Data: obs.Point{Load: ev.Load, Result: obs.MakeResult(ev.Result)}})
@@ -232,17 +232,7 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 }
 
 // specWorkload rebuilds the run's Workload from a canonical JobSpec.
-// Specs journaled before the workload redesign carry only the legacy
-// Pattern spelling (empty Traffic); they map through core.PatternWorkload
-// exactly as Normalize would have mapped them.
 func specWorkload(spec JobSpec, terminals int) (core.Workload, error) {
-	if spec.Traffic == "" {
-		pat, err := core.ParsePattern(spec.Pattern)
-		if err != nil {
-			return core.Workload{}, err
-		}
-		return core.PatternWorkload(pat), nil
-	}
 	wl := core.Workload{
 		Traffic:       spec.Traffic,
 		TrafficParams: spec.TrafficParams,

@@ -365,13 +365,25 @@ func TestCancelRunningJob(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	sub := tinySubmission()
 	sub.Run = RunSpec{Warmup: 5_000_000, Measure: 1000, Drain: 1000} // minutes of work
+	// Live window events prove the engine is stepping: cancel only
+	// after the first one, so the run is truly mid-warm-up (a cancel
+	// that lands while the job is still building its network stops it
+	// at cycle 0).
+	sub.Window = 100
 	st, code := submit(t, ts, sub)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for getStatus(t, ts, st.ID).State != StateRunning && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	feed, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feed.Body.Close()
+	sc := bufio.NewScanner(feed.Body)
+	for sc.Scan() && sc.Text() != "event: window" {
+	}
+	if sc.Text() != "event: window" {
+		t.Fatalf("event feed ended before the first window (%v)", sc.Err())
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := ts.Client().Do(req)

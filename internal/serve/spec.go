@@ -29,15 +29,14 @@ type Submission struct {
 	Kind string `json:"kind"`
 	// Topology is the dragonfly under test.
 	Topology TopologySpec `json:"topology"`
-	// Algorithm and Pattern name a routing algorithm and traffic
-	// pattern (core.Algorithms / core.Patterns).
+	// Algorithm names a routing algorithm (core.Algorithms).
 	Algorithm string `json:"algorithm"`
-	Pattern   string `json:"pattern,omitempty"`
 	// Traffic selects a registry traffic family with parameters
-	// (GET /v1/traffic lists families and schemas), the general form of
-	// Pattern; the two are mutually exclusive, and a legacy Pattern
-	// canonicalises to its family before hashing, so {"pattern":"UR"}
-	// and {"traffic":"ur"} share one cache entry.
+	// (GET /v1/traffic lists families and schemas). Pattern is an
+	// alternate key for it (e.g. "UR", "WC"); the two are mutually
+	// exclusive and canonicalise alike before hashing, so
+	// {"pattern":"UR"} and {"traffic":"ur"} share one cache entry.
+	Pattern       string         `json:"pattern,omitempty"`
 	Traffic       string         `json:"traffic,omitempty"`
 	TrafficParams map[string]int `json:"traffic_params,omitempty"`
 	// Workload selects an arrival-process family driving injection
@@ -124,7 +123,7 @@ type JobSpec struct {
 	Seed      uint64
 	Algorithm string
 	// Pattern is the display name of the traffic half (the submitted
-	// legacy spelling, or the canonical family name); the hash covers
+	// pattern spelling, or the canonical family name); the hash covers
 	// the canonical Traffic/TrafficParams below, never this.
 	Pattern string
 	// Traffic and TrafficParams are the canonical traffic description:
@@ -228,42 +227,30 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	}
 	s.Shards = sub.Shards
 
-	// Traffic: the legacy pattern enum and the registry spelling both
-	// canonicalise to family + fully-defaulted params, so the hash is
-	// canonical over meaning here too. Building the pattern against the
-	// real machine is the validation.
-	tenv := traffic.Env{Terminals: topo.Nodes(), Grouped: topo, Seed: s.Seed}
-	switch {
-	case sub.Traffic != "":
-		if sub.Pattern != "" {
+	// Traffic: "pattern" is an alternate key for "traffic" (the
+	// registry resolves the paper-style names as aliases), so both
+	// canonicalise to family + fully-defaulted params and the hash is
+	// canonical over meaning here too. The report keeps the submitted
+	// pattern spelling as its display name. Building the pattern
+	// against the real machine is the validation.
+	name, key := sub.Traffic, "traffic"
+	if sub.Pattern != "" {
+		if sub.Traffic != "" {
 			return s, badRequest("pattern %q and traffic %q are mutually exclusive; set one", sub.Pattern, sub.Traffic)
 		}
-		fam, params, err := canonFamily("traffic", sub.Traffic, sub.TrafficParams, traffic.FamilyNames(), trafficSchema)
-		if err != nil {
-			return s, badRequest("%v", err)
-		}
-		if _, err := traffic.Build(fam, tenv, params); err != nil {
-			return s, badRequest("%v", err)
-		}
-		s.Traffic, s.TrafficParams = fam, params
-		s.Pattern = fam
-	default:
-		if len(sub.TrafficParams) > 0 {
-			return s, badRequest(`"traffic_params" needs a "traffic" family`)
-		}
-		pat, err := core.ParsePattern(sub.Pattern)
-		if err != nil {
-			return s, badRequest("%v", err)
-		}
-		w := core.PatternWorkload(pat)
-		fam, params, err := canonFamily("traffic", w.Traffic, nil, traffic.FamilyNames(), trafficSchema)
-		if err != nil {
-			return s, badRequest("%v", err)
-		}
-		if _, err := traffic.Build(fam, tenv, params); err != nil {
-			return s, badRequest("%v", err)
-		}
-		s.Traffic, s.TrafficParams = fam, params
+		name, key = sub.Pattern, "pattern"
+	}
+	fam, params, err := canonFamily(key, name, sub.TrafficParams, traffic.FamilyNames(), trafficSchema)
+	if err != nil {
+		return s, badRequest("%v", err)
+	}
+	tenv := traffic.Env{Terminals: topo.Nodes(), Grouped: topo, Seed: s.Seed}
+	if _, err := traffic.Build(fam, tenv, params); err != nil {
+		return s, badRequest("%v", err)
+	}
+	s.Traffic, s.TrafficParams = fam, params
+	s.Pattern = fam
+	if key == "pattern" {
 		s.Pattern = sub.Pattern
 	}
 

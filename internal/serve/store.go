@@ -38,6 +38,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"dragonfly/internal/traffic"
 )
 
 // journalVersion is the record format spoken by this build. A record
@@ -107,6 +109,9 @@ func decodeRecord(line []byte) (record, error) {
 		if r.Spec == nil || r.Hash == "" {
 			return r, fmt.Errorf("%w: accepted record missing its spec or hash", ErrCorruptRecord)
 		}
+		if err := upgradeSpec(r.Spec); err != nil {
+			return r, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
+		}
 	case recState:
 		switch r.State {
 		case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
@@ -121,6 +126,23 @@ func decodeRecord(line []byte) (record, error) {
 		return r, fmt.Errorf("%w: unknown record type %q", ErrCorruptRecord, r.Type)
 	}
 	return r, nil
+}
+
+// upgradeSpec brings a journaled spec up to the current canonical form.
+// Specs accepted before dfly-job/3 carry only the pattern spelling
+// (empty Traffic); it resolves through the traffic registry exactly as
+// Normalize resolves a "pattern" submission. The journaled hash is
+// kept as recorded.
+func upgradeSpec(spec *JobSpec) error {
+	if spec.Traffic != "" {
+		return nil
+	}
+	fam, params, err := canonFamily("pattern", spec.Pattern, nil, traffic.FamilyNames(), trafficSchema)
+	if err != nil {
+		return err
+	}
+	spec.Traffic, spec.TrafficParams = fam, params
+	return nil
 }
 
 // replayedJob is one job reconstructed from the journal: its spec plus

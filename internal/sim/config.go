@@ -55,12 +55,6 @@ type Config struct {
 	DelaySlack int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Shards is the number of parallel engine shards the network is
-	// partitioned into (see shard.go). 0 or 1 runs the serial engine;
-	// any value is clamped to the group count (grouped topologies) or
-	// the router count. Results are bit-identical for every shard
-	// count.
-	Shards int
 }
 
 // DefaultConfig returns the paper's baseline simulation parameters.
@@ -88,8 +82,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Param: "LocalLatency", Value: fmt.Sprint(c.LocalLatency), Reason: "channel latencies are at least one cycle"}
 	case c.GlobalLatency < 1:
 		return &ConfigError{Param: "GlobalLatency", Value: fmt.Sprint(c.GlobalLatency), Reason: "channel latencies are at least one cycle"}
-	case c.Shards < 0:
-		return &ConfigError{Param: "Shards", Value: fmt.Sprint(c.Shards), Reason: "shard count must be >= 0 (0 runs the serial engine)"}
 	}
 	return nil
 }

@@ -289,7 +289,9 @@ func (n *Network) reviveLink(l *link) {
 // bounded depth may transiently overshoot — the ring grows, and the
 // bound re-establishes as the channel drains). Unroutable packets are
 // dropped: with full input-slot accounting from the wait queue, without
-// it from the output buffer.
+// it from the output buffer. A swap runs between phases, so each drop's
+// buffered event is replayed at once, in order with the Reroute and
+// Kill events around it.
 func (n *Network) rescueRouter(r *Router) error {
 	sh := n.shardForRouter(r.ID)
 	for out := 0; out < r.radix; out++ {
@@ -307,6 +309,7 @@ func (n *Network) rescueRouter(r *Router) error {
 				if err := n.nextHop(sh, r, ref); err != nil {
 					if errors.Is(err, ErrUnroutable) {
 						n.drop(sh, r, ref)
+						n.replayShard(sh)
 						continue
 					}
 					n.rescueBuf = n.rescueBuf[:0]
@@ -328,6 +331,7 @@ func (n *Network) rescueRouter(r *Router) error {
 				if err := n.nextHop(sh, r, ref); err != nil {
 					if errors.Is(err, ErrUnroutable) {
 						n.dropDeparted(sh, r.ID, ref)
+						n.replayShard(sh)
 						continue
 					}
 					n.rescueBuf = n.rescueBuf[:0]

@@ -48,16 +48,12 @@ type Network struct {
 
 	// Engine shards: the partition of routers/terminals/arena state
 	// (always at least one), the router→shard map, the prebuilt phase
-	// closures and their barrier. inPhase is true only while the
-	// parallel main phase runs, and gates event buffering and mailbox
-	// routing; it is written exclusively by the coordinator between
-	// barriers.
+	// closures and their barrier.
 	shards      []shard
 	routerShard []int32
 	drainFns    []func()
 	mainFns     []func()
 	wg          sync.WaitGroup
-	inPhase     bool
 
 	// Fault state, populated when the topology implements
 	// DegradedTopology: terminals attached to dead ports or dead routers
@@ -109,9 +105,8 @@ type Network struct {
 
 	// OnEject, when non-nil, observes every ejected packet before its
 	// arena slot is recycled; the *Packet is a reused view and must not
-	// be retained. With more than one shard the calls are replayed on
-	// the coordinator at the end of each cycle, in ascending router
-	// order — the serial order.
+	// be retained. The calls are replayed on the coordinator at the end
+	// of each cycle, in ascending router order for every shard count.
 	OnEject func(p *Packet, now int64)
 }
 
@@ -203,7 +198,7 @@ func New(topo Topology, cfg Config, routing Routing, traffic Traffic) (*Network,
 			return nil, fmt.Errorf("sim: fault plan leaves no live terminals")
 		}
 	}
-	n.buildShards(cfg.Shards)
+	n.buildShards(1)
 	return n, nil
 }
 
@@ -404,9 +399,8 @@ func (n *Network) nextHop(sh *shard, r *Router, ref int32) error {
 // network state can no longer be trusted; unroutable packets are dropped
 // and counted, not errors.
 //
-// With more than one shard the cycle runs as drain → epoch swap →
-// parallel main phase → event fold (see shard.go); with one shard it
-// runs inline on the calling goroutine.
+// The cycle runs as drain → epoch swap → main phase → event replay
+// (see shard.go), inline on the calling goroutine for one shard.
 func (n *Network) Step() error {
 	// Cancellation checkpoint: observed between cycles, before anything
 	// mutates, so an interrupted network is a valid partial simulation.
@@ -420,16 +414,20 @@ func (n *Network) Step() error {
 		}
 	}
 	n.now++
-	if len(n.shards) > 1 {
-		return n.stepSharded()
-	}
+	n.runPhase(n.drainFns)
 	if n.epochs != nil {
 		if err := n.advanceEpochs(); err != nil {
 			return err
 		}
 	}
-	if err := n.mainShard(&n.shards[0]); err != nil {
-		return err
+	n.runPhase(n.mainFns)
+	for i := range n.shards {
+		if err := n.shards[i].err; err != nil {
+			return err
+		}
+	}
+	for i := range n.shards {
+		n.replayShard(&n.shards[i])
 	}
 	if n.mcCycle != nil {
 		n.mcCycle.CycleEnd(n.now)
@@ -466,12 +464,8 @@ func (n *Network) deliver(sh *shard) error {
 				}
 				*occ++
 				if n.mc != nil {
-					if n.inPhase {
-						sh.ev = append(sh.ev, evRec{kind: evVCOcc, hop: metrics.Hop{
-							Router: l.dst, Port: l.dstPort, VC: int(e.vc), CreditStall: int64(*occ)}})
-					} else {
-						n.mc.VCOccupancy(l.dst, l.dstPort, int(e.vc), int(*occ))
-					}
+					sh.ev = append(sh.ev, evRec{kind: evVCOcc, hop: metrics.Hop{
+						Router: l.dst, Port: l.dstPort, VC: int(e.vc), CreditStall: int64(*occ)}})
 				}
 				ref := e.ref
 				sh.ar.inPort[ref] = int16(l.dstPort)
@@ -507,12 +501,8 @@ func (n *Network) deliver(sh *shard) error {
 					sent := rt.ctq[l.srcPort].pop()
 					tcrt := n.now - sent.at
 					if n.mc != nil {
-						if n.inPhase {
-							sh.ev = append(sh.ev, evRec{kind: evRTT, hop: metrics.Hop{
-								Router: l.src, Port: l.srcPort, CreditStall: tcrt}})
-						} else {
-							n.mc.CreditRTT(l.src, l.srcPort, tcrt)
-						}
+						sh.ev = append(sh.ev, evRec{kind: evRTT, hop: metrics.Hop{
+							Router: l.src, Port: l.srcPort, CreditStall: tcrt}})
 					}
 					td := tcrt - rt.tcrt0[l.srcPort]
 					if td < 0 {
@@ -642,9 +632,9 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 // eject drains every flit queued for a terminal output. Ejection
 // bandwidth is unconstrained, modelling the paper's assumption of
 // sufficient router speedup so that ejection is never the bottleneck.
-// Inside the parallel phase, ejection observers (collector, OnEject)
-// are deferred: the arena ref is buffered and replayed — in serial
-// router order — at the end-of-cycle fold.
+// Ejection observers (collector, OnEject) are deferred: the arena ref
+// is buffered and replayed — in router order — at the end-of-cycle
+// fold.
 func (n *Network) eject(sh *shard, r *Router) {
 	for p := 0; p < r.radix; p++ {
 		if !r.isTerm[p] {
@@ -663,25 +653,9 @@ func (n *Network) eject(sh *shard, r *Router) {
 					sh.ejectedWindow++
 				}
 				sh.lastMove = n.now
-				if n.inPhase && (n.mcEject != nil || n.OnEject != nil) {
+				if n.mcEject != nil || n.OnEject != nil {
 					sh.ev = append(sh.ev, evRec{kind: evEject, ref: ref, hop: metrics.Hop{Router: r.ID}})
 					continue // slot released after replay
-				}
-				if n.mcEject != nil {
-					f := sh.ar.flags[ref]
-					n.mcEject.PacketEjected(metrics.Eject{
-						Cycle:    n.now,
-						Packet:   sh.ar.id[ref],
-						Router:   r.ID,
-						Latency:  n.now - sh.ar.create[ref],
-						Minimal:  f&pfMinimal != 0,
-						Measured: f&pfMeasured != 0,
-					})
-				}
-				if n.OnEject != nil {
-					sh.ar.view(ref, &sh.ejectView)
-					sh.ejectView.EjectTime = n.now
-					n.OnEject(&sh.ejectView, n.now)
 				}
 				sh.ar.release(ref)
 			}
@@ -790,15 +764,11 @@ func (n *Network) allocate(sh *shard, r *Router) {
 			r.credits[base+vc]--
 			r.ctq[out].push(0, n.now)
 			if n.mc != nil {
-				if n.inPhase {
-					sh.ev = append(sh.ev, evRec{kind: evFlit, hop: metrics.Hop{Link: l.id}})
-				} else {
-					n.mc.ChannelFlit(l.id)
-				}
+				sh.ev = append(sh.ev, evRec{kind: evFlit, hop: metrics.Hop{Link: l.id}})
 			}
 			if n.mcHop != nil {
 				f := sh.ar.flags[ref]
-				h := metrics.Hop{
+				sh.ev = append(sh.ev, evRec{kind: evHop, hop: metrics.Hop{
 					Packet:      sh.ar.id[ref],
 					Cycle:       n.now,
 					Router:      r.ID,
@@ -808,12 +778,7 @@ func (n *Network) allocate(sh *shard, r *Router) {
 					Minimal:     f&pfMinimal != 0,
 					Phase1:      f&pfPhase1 != 0,
 					CreditStall: r.stallCyc[base+vc],
-				}
-				if n.inPhase {
-					sh.ev = append(sh.ev, evRec{kind: evHop, hop: h})
-				} else {
-					n.mcHop.PacketHop(h)
-				}
+				}})
 				r.stallCyc[base+vc] = 0
 			}
 			if ds := n.routerShard[l.dst]; int(ds) != sh.idx {

@@ -6,40 +6,46 @@ import (
 	"dragonfly/internal/metrics"
 )
 
-// The sharded engine partitions the network into contiguous ranges of
-// groups (or of routers, when the topology has no group structure) and
-// advances each range on its own goroutine. Every shard owns the full
+// The engine partitions the network into contiguous ranges of groups
+// (or of routers, when the topology has no group structure) and runs
+// one pipeline for every partition size. Every shard owns the full
 // per-cycle pipeline — deliver, inject, admit, eject, transfer,
 // allocate — for its routers, its terminals and its packet arena, so
-// the hot loop stays allocation-free and lock-free within a shard.
+// the hot loop stays allocation-free and lock-free within a shard. The
+// serial engine is the one-shard partition: each phase runs inline on
+// the calling goroutine. With k > 1 shards each phase starts k
+// goroutines and waits for them (runPhase).
+//
+// A cycle is: drain the mailboxes, apply any epoch swap, run the main
+// phase, check the shards for errors, replay the buffered events in
+// shard order, and close the cycle (CycleEnd).
 //
 // The only state crossing a shard boundary is what crosses a link whose
 // endpoints live in different shards: flits leaving the sender's last
 // router and credits returning upstream. Those are posted into
 // per-(sender, receiver) mailboxes during the cycle and drained by the
 // receiving shard at the start of the next cycle, before delivery — the
-// same cycle the serial engine would pop them off the wire, because
+// same cycle a one-shard engine would pop them off the wire, because
 // every channel latency is at least one cycle. Per link there is a
 // single producer (flits: the shard of the link's source router;
 // credits: the shard of its destination router) and a single consumer,
 // and at most one flit enters a link per cycle, so queue order — and
 // therefore every routing decision, credit clamp and ejection — is
-// bit-identical to the serial engine for any shard count.
+// bit-identical for any shard count.
 //
 // Determinism of aggregation: collector events and OnEject callbacks
-// raised inside the parallel phase are buffered per shard and replayed
-// on the coordinator in shard order once the barrier closes. Shards
-// cover ascending router ranges, so the replayed ejection order equals
-// the serial router-major order exactly, which keeps the
-// floating-point accumulation order (and hence golden hashes) stable.
-// Within one cycle the *event stream* a collector sees is grouped by
-// shard rather than interleaved per router; all counts, and the order
-// of ejections, are identical.
+// raised inside the main phase are buffered per shard and replayed in
+// shard order once the phase ends. Shards cover ascending router
+// ranges, so the replayed ejection order is the router-major order for
+// every shard count, which keeps the floating-point accumulation order
+// (and hence golden hashes) stable. With one shard the replayed stream
+// is exactly the order the events were raised in; with more, a
+// cycle's stream is grouped by shard rather than interleaved per
+// router, while all counts, and the order of ejections, are identical.
 //
-// Fault timelines compose with sharding because epoch swaps land on
-// the barrier: advanceEpochs runs serially on the coordinator between
-// the mailbox drain and the parallel phase, when every mailbox is
-// empty and no shard is running.
+// Fault timelines compose with sharding because epoch swaps land
+// between the phases: advanceEpochs runs on the coordinator after the
+// mailbox drain, when every mailbox is empty and no shard is running.
 
 // shardLink is one entry of a shard's per-cycle link walk. A shard
 // handles the flit side of the links it owns the destination router of
@@ -249,8 +255,8 @@ func (n *Network) buildShards(k int) {
 			}
 		}
 	}
-	// Prebuilt phase closures: Step spawns these verbatim every cycle,
-	// so the steady state allocates nothing.
+	// Prebuilt phase closures: Step runs these verbatim every cycle, so
+	// the steady state allocates nothing.
 	n.drainFns = make([]func(), k)
 	n.mainFns = make([]func(), k)
 	for s := range n.shards {
@@ -269,40 +275,18 @@ func (n *Network) buildShards(k int) {
 // shardForRouter returns the shard owning router r.
 func (n *Network) shardForRouter(r int) *shard { return &n.shards[n.routerShard[r]] }
 
-// runPhase runs one per-shard phase to completion on all shards.
+// runPhase runs one per-shard phase to completion on all shards: inline
+// for the one-shard engine, on one goroutine per shard otherwise.
 func (n *Network) runPhase(fns []func()) {
 	n.wg.Add(len(fns))
-	for i := range fns {
-		go fns[i]()
+	if len(fns) == 1 {
+		fns[0]()
+	} else {
+		for i := range fns {
+			go fns[i]()
+		}
 	}
 	n.wg.Wait()
-}
-
-// stepSharded is Step's parallel body: drain the mailboxes filled last
-// cycle, apply any epoch swap on the (empty-mailbox) barrier, run the
-// main pipeline phase, then fold the buffered events in shard order.
-func (n *Network) stepSharded() error {
-	n.runPhase(n.drainFns)
-	if n.epochs != nil {
-		if err := n.advanceEpochs(); err != nil {
-			return err
-		}
-	}
-	n.inPhase = true
-	n.runPhase(n.mainFns)
-	n.inPhase = false
-	for i := range n.shards {
-		if err := n.shards[i].err; err != nil {
-			return err
-		}
-	}
-	for i := range n.shards {
-		n.replayShard(&n.shards[i])
-	}
-	if n.mcCycle != nil {
-		n.mcCycle.CycleEnd(n.now)
-	}
-	return nil
 }
 
 // drainShard moves last cycle's inbound mailbox traffic onto this
@@ -405,31 +389,21 @@ func (n *Network) replayShard(sh *shard) {
 }
 
 // pushCredit returns a credit upstream on link l, routing it through
-// the mailbox when the link's source router lives in another shard.
-// Called from phase code (drop, departed) with the acting shard, and
-// from serial coordinator contexts (epoch rescue) where the mailboxes
-// are empty and the direct push is always correct.
+// the mailbox when the link's source router lives in another shard
+// than sh, the shard acting for l's destination router.
 func (n *Network) pushCredit(sh *shard, l *link, vc uint8, at int64) {
-	if n.inPhase {
-		if ss := n.routerShard[l.src]; int(ss) != sh.idx {
-			sh.credOut[ss] = append(sh.credOut[ss], credXfer{link: int32(l.id), at: at, vc: vc})
-			return
-		}
+	if ss := n.routerShard[l.src]; int(ss) != sh.idx {
+		sh.credOut[ss] = append(sh.credOut[ss], credXfer{link: int32(l.id), at: at, vc: vc})
+		return
 	}
 	l.credits.push(vc, at)
 }
 
-// emitDrop reports a routing-level drop, buffering it when raised
-// inside the parallel phase.
+// emitDrop buffers a routing-level drop for the end-of-cycle replay.
 func (n *Network) emitDrop(sh *shard, router int) {
-	if n.mc == nil {
-		return
-	}
-	if n.inPhase {
+	if n.mc != nil {
 		sh.ev = append(sh.ev, evRec{kind: evDrop, hop: metrics.Hop{Router: router}})
-		return
 	}
-	n.mc.Drop(router)
 }
 
 // Totals: Network-level counters are the sum of the per-shard counters

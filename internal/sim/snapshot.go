@@ -42,7 +42,7 @@ import (
 //	CRC-32C over everything above               u32
 //
 // The fingerprint is an FNV-64a hash of everything a snapshot is only
-// meaningful relative to: the Config (minus Shards), the full link
+// meaningful relative to: the Config, the full link
 // wiring, the terminal attachment, the routing and traffic names, and
 // the fault liveness (the static plan's, or every epoch of the
 // timeline). Restore refuses a snapshot whose fingerprint differs from
@@ -175,7 +175,7 @@ func (n *Network) restore(snap []byte, wantRun bool) (*runState, error) {
 }
 
 // fingerprint hashes everything a snapshot is only meaningful relative
-// to. Config.Shards is deliberately excluded: snapshots are
+// to. The shard count is deliberately excluded: snapshots are
 // shard-count independent.
 func (n *Network) fingerprint() uint64 {
 	h := fnv.New64a()

@@ -44,7 +44,7 @@ type ParamSpec struct {
 // Family is one registered traffic pattern family.
 type Family struct {
 	// Name is the registry key ("ur", "wc", "hotspot", ...), always
-	// lower-case; lookups fold case so legacy spellings ("UR") resolve.
+	// lower-case; FamilyByName folds case and resolves aliases.
 	Name string
 	// Doc is a one-line description of the family.
 	Doc string
@@ -55,10 +55,7 @@ type Family struct {
 	Build func(env Env, params map[string]int) (Pattern, error)
 }
 
-// families is the registry, in listing order. The constructors are the
-// same ones the pre-registry enum path called, so a registry-built
-// pattern is the enum-built pattern — bit for bit (golden-pinned in
-// internal/core).
+// families is the registry, in listing order.
 var families = []Family{
 	{
 		Name: "ur",
@@ -161,10 +158,21 @@ func FamilyNames() []string {
 	return names
 }
 
+// aliases maps the paper-style pattern names onto their families
+// (keys lower-case, matched after case folding).
+var aliases = map[string]string{
+	"bitcomplement": "bitcomp",
+	"permutation":   "perm",
+}
+
 // FamilyByName looks up a registered family. Lookup is case-insensitive
-// so the legacy enum spellings ("UR", "WC") resolve to their families.
+// and accepts the paper-style names: "UR", "WC", "BitComplement",
+// "Tornado" and "Permutation" resolve to their families.
 func FamilyByName(name string) (Family, bool) {
 	name = strings.ToLower(name)
+	if a, ok := aliases[name]; ok {
+		name = a
+	}
 	for _, f := range families {
 		if f.Name == name {
 			return f, true

@@ -63,10 +63,22 @@ func TestRegistryMatchesDirectConstruction(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupFoldsCase is the alias table: lookups fold case,
+// the paper's pattern names resolve to their families, and an unknown
+// name fails.
 func TestRegistryLookupFoldsCase(t *testing.T) {
-	for _, spelling := range []string{"UR", "ur", "Ur"} {
-		if _, ok := FamilyByName(spelling); !ok {
-			t.Errorf("FamilyByName(%q) did not resolve", spelling)
+	for spelling, want := range map[string]string{
+		"UR":            "ur",
+		"ur":            "ur",
+		"Ur":            "ur",
+		"WC":            "wc",
+		"BitComplement": "bitcomp",
+		"Tornado":       "tornado",
+		"Permutation":   "perm",
+	} {
+		f, ok := FamilyByName(spelling)
+		if !ok || f.Name != want {
+			t.Errorf("FamilyByName(%q) = %q, %v; want %q", spelling, f.Name, ok, want)
 		}
 	}
 	if _, ok := FamilyByName("no-such-pattern"); ok {
