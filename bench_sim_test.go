@@ -137,9 +137,13 @@ func benchSystem(b *testing.B, sc simBenchScenario) (*core.System, string) {
 		name = fmt.Sprintf("%v", sys.Topo)
 	}
 	if sc.failGlobal > 0 {
-		plan := fault.NewPlan(7)
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, sc.failGlobal)
-		sys = sys.WithFaults(plan)
+		sched, err := fault.NewTimeline(7).FailFractionAt(0, topology.ClassGlobal, sc.failGlobal).Compile(sys.Topo)
+		if err != nil {
+			b.Fatalf("Compile: %v", err)
+		}
+		if sys, err = sys.WithTimeline(sched); err != nil {
+			b.Fatalf("WithTimeline: %v", err)
+		}
 		name += fmt.Sprintf(" %g%% globals failed", sc.failGlobal*100)
 	}
 	return sys, name

@@ -6,10 +6,11 @@
 //
 // Fault injection: -fail-global fails random global channels (a
 // fraction below 1, a count at or above 1), -fail-routers fails whole
-// routers by id, and -fail-seed picks which channels die. Routing
-// detours around the holes; truly unreachable packets are dropped and
-// reported. -fault-timeline schedules transient fail/recover events at
-// simulation cycles instead of a standing plan.
+// routers by id, and -fail-seed picks which channels die; these are
+// standing faults, installed as cycle-0 events. Routing detours around
+// the holes; truly unreachable packets are dropped and reported.
+// -fault-timeline schedules transient fail/recover events at
+// simulation cycles instead.
 //
 // Observability: -json replaces the text output with one versioned
 // JSON report (schema_version inside; informational prints move to
@@ -69,6 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -242,11 +244,7 @@ func main() {
 	if _, err := sys.TrafficFor(wl); err != nil {
 		fatal(err)
 	}
-	sys, err = applyFaults(info, sys, *failGlobal, *failRouters, *failSeed)
-	if err != nil {
-		fatal(err)
-	}
-	sys, err = applyTimeline(info, sys, *faultTimeline, *failGlobal, *failRouters, *failSeed)
+	sys, err = applyFaults(info, sys, *faultTimeline, *failGlobal, *failRouters, *failSeed)
 	if err != nil {
 		fatal(err)
 	}
@@ -272,7 +270,7 @@ func main() {
 	}
 
 	if *sweep != "" {
-		runSweep(ctx, sys, alg, wl, *sweep, *jobs, rc, *jsonOut, *seed)
+		runSweep(ctx, sys, alg, wl, *sweep, *jobs, rc, *jsonOut, *seed, *faultTimeline != "")
 		return
 	}
 
@@ -352,11 +350,12 @@ func main() {
 	fmt.Printf("latency p99:       %.0f cycles (max %.0f)\n", pctl(res), res.Latency.Max())
 	fmt.Printf("saturated:         %v\n", res.Saturated)
 	fmt.Printf("simulated cycles:  %d\n", res.Cycles)
-	if sys.Timeline() != nil {
+	switch {
+	case *faultTimeline != "":
 		fmt.Printf("killed in flight:  %d packets (on channels severed by the timeline)\n", res.KilledInFlight)
 		fmt.Printf("rerouted:          %d packets (rescued off failing routers)\n", res.Rerouted)
 		fmt.Printf("dropped packets:   %d (unroutable during degraded epochs)\n", res.Dropped)
-	} else if sys.Degraded() != nil {
+	case sys.Timeline() != nil:
 		fmt.Printf("dropped packets:   %d (unroutable under the fault plan)\n", res.Dropped)
 	}
 	if *hist && res.Hist != nil {
@@ -373,18 +372,26 @@ func main() {
 	checkUnroutable(res.Dropped, res.Latency.Count())
 }
 
-// applyTimeline parses the -fault-timeline spec, compiles it against
-// the system's topology and attaches it. Exclusive with the static
-// -fail-* flags: standing faults belong in the timeline's @0 events.
-// Informational lines go to info (stderr in JSON mode).
-func applyTimeline(info io.Writer, sys *core.System, spec string, failGlobal float64, failRouters string, failSeed uint64) (*core.System, error) {
-	if spec == "" {
+// applyFaults compiles the fault flags into a schedule and attaches it
+// to the system. -fail-global/-fail-routers are standing faults:
+// cycle-0 events, so their schedule has the one epoch. -fault-timeline
+// schedules transient events instead; the two are exclusive. With no
+// fault flags set the system is returned unchanged (pristine fast
+// paths). Informational lines go to info (stderr in JSON mode).
+func applyFaults(info io.Writer, sys *core.System, spec string, failGlobal float64, failRouters string, failSeed uint64) (*core.System, error) {
+	standing := failGlobal != 0 || failRouters != ""
+	var tl *fault.Timeline
+	var err error
+	switch {
+	case spec != "" && standing:
+		return nil, fmt.Errorf("-fault-timeline cannot be combined with -fail-global/-fail-routers (schedule standing faults at @0 instead)")
+	case spec != "":
+		tl, err = fault.ParseTimeline(spec, failSeed)
+	case standing:
+		tl, err = standingFaults(sys.Topo, failGlobal, failRouters, failSeed)
+	default:
 		return sys, nil
 	}
-	if failGlobal != 0 || failRouters != "" {
-		return nil, fmt.Errorf("-fault-timeline cannot be combined with -fail-global/-fail-routers (schedule standing faults at @0 instead)")
-	}
-	tl, err := fault.ParseTimeline(spec, failSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -392,9 +399,16 @@ func applyTimeline(info io.Writer, sys *core.System, spec string, failGlobal flo
 	if err != nil {
 		return nil, err
 	}
-	tsys, err := sys.WithTimeline(sched)
+	fsys, err := sys.WithTimeline(sched)
 	if err != nil {
 		return nil, err
+	}
+	if standing {
+		v := sched.Epochs[0].View
+		r, g, l, tm := v.FaultCounts()
+		fmt.Fprintf(info, "fault plan (seed %d): %d routers, %d global, %d local, %d terminal channels down; connected=%v, %d/%d terminals alive\n",
+			failSeed, r, g, l, tm, v.Connected(), v.AliveTerminals(), sys.Topo.Nodes())
+		return fsys, nil
 	}
 	fmt.Fprintf(info, "fault timeline (seed %d): %d events compiled to %d epochs\n",
 		failSeed, tl.Events(), len(sched.Epochs))
@@ -403,54 +417,64 @@ func applyTimeline(info io.Writer, sys *core.System, spec string, failGlobal flo
 		fmt.Fprintf(info, "  @%-8d %d routers, %d global, %d local, %d terminal channels down; connected=%v\n",
 			e.Start, r, g, l, tm, e.View.Connected())
 	}
-	return tsys, nil
+	return fsys, nil
 }
 
-// applyFaults builds a fault plan from the -fail-* flags and attaches it
-// to the system. With no fault flags set the system is returned
-// unchanged (pristine fast paths, bit-identical to earlier versions).
-// Informational lines go to info (stderr in JSON mode).
-func applyFaults(info io.Writer, sys *core.System, failGlobal float64, failRouters string, failSeed uint64) (*core.System, error) {
-	if failGlobal == 0 && failRouters == "" {
-		return sys, nil
-	}
-	if failGlobal < 0 {
+// standingFaults translates -fail-routers and -fail-global into cycle-0
+// timeline events, routers first, so the draws fail the same channels
+// for the same seed as a standing fault.Plan built in that order.
+func standingFaults(m topology.Machine, failGlobal float64, failRouters string, failSeed uint64) (*fault.Timeline, error) {
+	if math.IsNaN(failGlobal) || math.IsInf(failGlobal, 0) || failGlobal < 0 {
 		return nil, fmt.Errorf("-fail-global %g: want a fraction in [0,1) or a count >= 1", failGlobal)
 	}
-	plan := fault.NewPlan(failSeed)
+	tl := fault.NewTimeline(failSeed)
+	down := map[int]bool{}
 	if failRouters != "" {
 		for _, f := range strings.Split(failRouters, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				return nil, fmt.Errorf("-fail-routers: bad router id %q: %w", f, err)
 			}
-			if id < 0 || id >= sys.Topo.Routers() {
-				return nil, fmt.Errorf("-fail-routers: router %d out of range [0,%d)", id, sys.Topo.Routers())
+			if id < 0 || id >= m.Routers() {
+				return nil, fmt.Errorf("-fail-routers: router %d out of range [0,%d)", id, m.Routers())
 			}
-			plan.FailRouter(id)
+			tl.FailRouterAt(0, id)
+			down[id] = true
 		}
 	}
-	if failGlobal >= 1 {
-		want := int(failGlobal + 0.5)
-		got := plan.FailRandomChannels(sys.Topo, topology.ClassGlobal, want)
-		if got < want {
-			return nil, fmt.Errorf("-fail-global %d: only %d live global channels to fail", want, got)
+	switch {
+	case failGlobal >= 1:
+		want := math.Floor(failGlobal + 0.5)
+		if live := liveGlobalChannels(m, down); want > float64(live) {
+			return nil, fmt.Errorf("-fail-global %.0f: only %d live global channels to fail", want, live)
 		}
-	} else if failGlobal > 0 {
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, failGlobal)
+		tl.FailChannelsAt(0, topology.ClassGlobal, int(want))
+	case failGlobal > 0:
+		tl.FailFractionAt(0, topology.ClassGlobal, failGlobal)
 	}
-	fsys := sys.WithFaults(plan)
-	deg := fsys.Degraded()
-	r, g, l, tm := deg.FaultCounts()
-	fmt.Fprintf(info, "fault plan (seed %d): %d routers, %d global, %d local, %d terminal channels down; connected=%v, %d/%d terminals alive\n",
-		failSeed, r, g, l, tm, deg.Connected(), deg.AliveTerminals(), sys.Topo.Nodes())
-	return fsys, nil
+	return tl, nil
+}
+
+// liveGlobalChannels counts the global channels of m whose two routers
+// are both outside down.
+func liveGlobalChannels(m topology.Machine, down map[int]bool) int {
+	live := 0
+	for r := 0; r < m.Routers(); r++ {
+		for p := 0; p < m.Radix(r); p++ {
+			pt := m.Port(r, p)
+			if pt.Class == topology.ClassGlobal && r < pt.PeerRouter && !down[r] && !down[pt.PeerRouter] {
+				live++
+			}
+		}
+	}
+	return live
 }
 
 // runSweep runs a latency-load curve on a worker pool and prints it as
 // an aligned table (or one JSON report), stopping two points after
-// saturation like the paper's plots.
-func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64) {
+// saturation like the paper's plots. transient adds the killed column
+// of a -fault-timeline run to the dropped column of any faulted one.
+func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64, transient bool) {
 	loads, err := parseSweep(spec)
 	if err != nil {
 		fatal(err)
@@ -483,10 +507,9 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 		checkUnroutable(dropped, delivered)
 		return
 	}
-	timeline := sys.Timeline() != nil
-	degraded := sys.Degraded() != nil || timeline
+	degraded := sys.Timeline() != nil
 	switch {
-	case timeline:
+	case transient:
 		fmt.Printf("%-10s %12s %12s %10s %10s %10s\n", "load", "latency", "accepted", "saturated", "dropped", "killed")
 	case degraded:
 		fmt.Printf("%-10s %12s %12s %10s %10s\n", "load", "latency", "accepted", "saturated", "dropped")
@@ -502,7 +525,7 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 			mark = " *"
 		}
 		switch {
-		case timeline:
+		case transient:
 			fmt.Printf("%-10.3f %12.1f %12.3f %10v %10d %10d%s\n",
 				p.Load, p.Result.Latency.Mean(), p.Result.Accepted, p.Result.Saturated, p.Result.Dropped, p.Result.KilledInFlight, mark)
 		case degraded:

@@ -87,6 +87,82 @@ func TestTrafficWCReproducesPatternWC(t *testing.T) {
 	}
 }
 
+// faultReport is the JSON report of a -fail-global 0.1 -fail-routers 3
+// run, recorded when the flags built a static fault plan. The flags now
+// compile to cycle-0 timeline events; the report must not move.
+const faultReport = `{
+  "schema_version": 1,
+  "kind": "run",
+  "topology": "dragonfly(p=2 a=4 h=2 g=9 N=72 k=7 k'=16)",
+  "algorithm": "UGAL-L",
+  "pattern": "ur",
+  "seed": 1,
+  "points": [
+    {
+      "load": 0.2,
+      "result": {
+        "offered": 0.2,
+        "accepted": 0.19223809523809524,
+        "latency_mean": 4.341263940520443,
+        "latency_min": 0,
+        "latency_max": 13,
+        "latency_count": 4035,
+        "min_latency_mean": 3.4239392894101455,
+        "nonmin_latency_mean": 6.682218309859159,
+        "minimal_fraction": 0.7184634448574969,
+        "saturated": false,
+        "cycles": 608,
+        "drain_timeout": false,
+        "dropped": 240,
+        "alive_terminals": 70
+      }
+    }
+  ]
+}
+`
+
+// TestStandingFaultFlagsReport pins the -fail-global/-fail-routers →
+// cycle-0 event translation and its draw order: routers first, then the
+// global-channel fraction, from the -fail-seed chain.
+func TestStandingFaultFlagsReport(t *testing.T) {
+	out, stderr, code := runCLI(t, "-alg", "UGAL-L", "-p", "2", "-a", "4", "-h", "2",
+		"-warmup", "300", "-measure", "300", "-load", "0.2",
+		"-fail-global", "0.1", "-fail-routers", "3", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if out != faultReport {
+		t.Errorf("fault-flag report:\n%s\nwant the recorded report:\n%s", out, faultReport)
+	}
+	const info = "fault plan (seed 1): 1 routers, 5 global, 3 local, 2 terminal channels down; connected=true, 70/72 terminals alive\n"
+	if stderr != info {
+		t.Errorf("stderr %q, want %q", stderr, info)
+	}
+}
+
+// TestFailGlobalRejectsBadValues: non-finite and negative -fail-global
+// values, and counts beyond the live global channels, exit 1 before any
+// simulation runs instead of silently running with no faults.
+func TestFailGlobalRejectsBadValues(t *testing.T) {
+	for _, c := range []struct{ val, want string }{
+		{"NaN", "-fail-global NaN: want a fraction in [0,1) or a count >= 1"},
+		{"Inf", "-fail-global +Inf: want a fraction in [0,1) or a count >= 1"},
+		{"-Inf", "-fail-global -Inf: want a fraction in [0,1) or a count >= 1"},
+		{"-0.5", "-fail-global -0.5: want a fraction in [0,1) or a count >= 1"},
+		{"50", "-fail-global 50: only 36 live global channels to fail"},
+		{"1e30", "only 36 live global channels to fail"},
+	} {
+		out, stderr, code := runCLI(t, "-p", "2", "-a", "4", "-h", "2", "-warmup", "10", "-measure", "10",
+			"-fail-global", c.val)
+		if code != 1 || !strings.Contains(stderr, c.want) {
+			t.Errorf("-fail-global %s: exit %d, stderr %q; want exit 1 with %q", c.val, code, stderr, c.want)
+		}
+		if out != "" {
+			t.Errorf("-fail-global %s: ran anyway, stdout %q", c.val, out)
+		}
+	}
+}
+
 // TestPatternFlagRemoved checks -pattern is gone: the flag parser
 // rejects it as undefined.
 func TestPatternFlagRemoved(t *testing.T) {

@@ -83,11 +83,6 @@ type SystemConfig struct {
 	// serial engine; values are clamped to the group count. Results are
 	// bit-identical for every shard count.
 	Shards int
-	// Faults, when non-nil, is the fault plan (internal/fault.Plan) the
-	// system simulates under: routing and the simulator consume the
-	// degraded topology view instead of the pristine one. Build plans
-	// against an existing system's Topo and attach them with WithFaults.
-	Faults topology.FaultView
 }
 
 // System is a configured machine: topology plus simulation defaults.
@@ -95,8 +90,7 @@ type System struct {
 	// Topo is the constructed topology.
 	Topo topology.Machine
 	cfg  SystemConfig
-	deg  *topology.Degraded
-	// sched is the compiled fault timeline (nil for static systems);
+	// sched is the compiled fault schedule (nil for a pristine system);
 	// attach with WithTimeline.
 	sched *fault.Schedule
 }
@@ -128,49 +122,27 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Topo: d, cfg: cfg}
-	if cfg.Faults != nil {
-		s.deg = topology.NewDegraded(d, cfg.Faults)
-	}
-	return s, nil
-}
-
-// WithFaults returns a system sharing this one's topology and defaults
-// but simulating under fault plan fv (nil clears the faults). The usual
-// flow is: build the pristine system, construct a fault.Plan against
-// sys.Topo, then derive the degraded system here.
-func (s *System) WithFaults(fv topology.FaultView) *System {
-	ns := *s
-	ns.cfg.Faults = fv
-	ns.deg = nil
-	if fv != nil {
-		ns.deg = topology.NewDegraded(s.Topo, fv)
-	}
-	return &ns
+	return &System{Topo: d, cfg: cfg}, nil
 }
 
 // WithTimeline returns a system sharing this one's topology and
-// defaults but simulating under the compiled fault timeline sched (nil
+// defaults but simulating under the compiled fault schedule sched (nil
 // clears it): every network the derived system builds starts in the
 // schedule's first epoch and swaps views at the scheduled cycles. The
 // usual flow is: build the pristine system, build a fault.Timeline,
-// compile it against sys.Topo, and attach the schedule here. A timeline
-// cannot be combined with a static fault plan — the timeline's epoch 0
-// is where standing faults belong.
+// compile it against sys.Topo, and attach the schedule here. Standing
+// faults are cycle-0 events: their schedule has the one epoch.
 func (s *System) WithTimeline(sched *fault.Schedule) (*System, error) {
 	ns := *s
 	ns.sched = nil
 	if sched == nil {
 		return &ns, nil
 	}
-	if s.cfg.Faults != nil {
-		return nil, fmt.Errorf("core: a fault timeline cannot be combined with a static fault plan (put standing faults in the timeline's cycle-0 events)")
-	}
 	if len(sched.Epochs) == 0 {
 		return nil, fmt.Errorf("core: fault schedule has no epochs")
 	}
 	for i, e := range sched.Epochs {
-		if e.View == nil || e.View.Machine != s.Topo {
+		if e.View == nil || e.View.Machine() != s.Topo {
 			return nil, fmt.Errorf("core: fault schedule epoch %d was not compiled against this system's topology", i)
 		}
 	}
@@ -179,21 +151,8 @@ func (s *System) WithTimeline(sched *fault.Schedule) (*System, error) {
 }
 
 // Timeline returns the attached fault schedule, or nil when the system
-// is static.
+// is pristine.
 func (s *System) Timeline() *fault.Schedule { return s.sched }
-
-// Degraded returns the fault-aware topology view, or nil when no fault
-// plan is attached.
-func (s *System) Degraded() *topology.Degraded { return s.deg }
-
-// routingTopo returns the structural view handed to the routing
-// algorithms: the degraded one when a fault plan is attached.
-func (s *System) routingTopo() routing.Topo {
-	if s.deg != nil {
-		return s.deg
-	}
-	return s.Topo
-}
 
 // Config returns the system configuration after defaulting.
 func (s *System) Config() SystemConfig { return s.cfg }
@@ -217,16 +176,11 @@ func (s *System) SimConfig(alg Algorithm) sim.Config {
 	}
 }
 
-// Routing constructs the routing algorithm alg over this topology (the
-// fault-aware view of it when a fault plan is attached).
+// Routing constructs the routing algorithm alg over this topology. It
+// reads fault liveness from the network it routes on, so one value
+// serves pristine and faulted networks alike.
 func (s *System) Routing(alg Algorithm) (sim.Routing, error) {
-	return routingOver(alg, s.routingTopo())
-}
-
-// routingOver constructs alg over an explicit structural view — the
-// timeline path hands the per-network Switched view in here so routing
-// liveness queries follow the epoch swaps.
-func routingOver(alg Algorithm, t routing.Topo) (sim.Routing, error) {
+	t := s.Topo
 	switch alg {
 	case AlgMIN:
 		return routing.NewMIN(t), nil
@@ -249,10 +203,9 @@ func routingOver(alg Algorithm, t routing.Topo) (sim.Routing, error) {
 
 // NewNetworkFor builds a fresh simulation network for (alg, workload),
 // partitioned into the system's configured shard count. Each load point
-// of a sweep should use a fresh network. With a timeline attached, the
-// network gets its own switchable topology view (epoch swaps are
-// per-network state, so concurrent sweep points stay independent) and
-// the schedule is installed before the first cycle. The workload's
+// of a sweep should use a fresh network. With a schedule attached, it
+// is installed before the first cycle (the network owns its epoch, so
+// concurrent sweep points stay independent). The workload's
 // source (when one is set) is installed before the network is
 // returned, so snapshots taken from it carry the source fingerprint
 // and per-terminal state.
@@ -265,21 +218,11 @@ func (s *System) NewNetworkFor(alg Algorithm, w Workload) (*sim.Network, error) 
 	if err != nil {
 		return nil, err
 	}
-	var st sim.Topology = s.Topo
-	rv := s.routingTopo()
-	if s.deg != nil {
-		st = s.deg // the simulator detects Alive and kills the dead links
-	}
-	if s.sched != nil {
-		sw := topology.NewSwitched(s.Topo)
-		sw.SetEpoch(s.sched.Epochs[0].View)
-		st, rv = sw, sw
-	}
-	rt, err := routingOver(alg, rv)
+	rt, err := s.Routing(alg)
 	if err != nil {
 		return nil, err
 	}
-	net, err := sim.New(st, s.SimConfig(alg), rt, tr)
+	net, err := sim.New(s.Topo, s.SimConfig(alg), rt, tr)
 	if err != nil {
 		return nil, err
 	}

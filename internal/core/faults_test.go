@@ -8,14 +8,25 @@ import (
 	"dragonfly/internal/topology"
 )
 
+// withTimeline compiles tl against sys and attaches the schedule.
+func withTimeline(t *testing.T, sys *System, tl *fault.Timeline) *System {
+	t.Helper()
+	sched, err := tl.Compile(sys.Topo)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	fsys, err := sys.WithTimeline(sched)
+	if err != nil {
+		t.Fatalf("WithTimeline: %v", err)
+	}
+	return fsys
+}
+
 // faultedSystem returns the shared small test system with fraction f of
-// its global channels failed under the given seed.
+// its global channels failed from cycle 0 under the given seed.
 func faultedSystem(t *testing.T, f float64, seed uint64) *System {
 	t.Helper()
-	sys := testSystem(t)
-	plan := fault.NewPlan(seed)
-	plan.FailFraction(sys.Topo, topology.ClassGlobal, f)
-	return sys.WithFaults(plan)
+	return withTimeline(t, testSystem(t), fault.NewTimeline(seed).FailFractionAt(0, topology.ClassGlobal, f))
 }
 
 // TestFaultSweepDeterministicAcrossJobs extends the parallel-engine
@@ -79,9 +90,15 @@ func TestDisconnectedRouterDropsNotHangs(t *testing.T) {
 			plan.FailChannel(sys.Topo, 0, p)
 		}
 	}
-	fsys := sys.WithFaults(plan)
-	if fsys.Degraded().Connected() {
+	// Timelines fail random channels only, so the one epoch is built
+	// from the plan directly.
+	view := topology.NewDegraded(sys.Topo, plan)
+	if view.Connected() {
 		t.Fatal("router 0 still connected after cutting all its channels")
+	}
+	fsys, err := sys.WithTimeline(&fault.Schedule{Seed: plan.Seed(), Epochs: []fault.Epoch{{View: view, Faults: plan}}})
+	if err != nil {
+		t.Fatalf("WithTimeline: %v", err)
 	}
 	for _, alg := range []Algorithm{AlgMIN, AlgUGALL} {
 		res, err := fsys.Run(alg, Workload{Traffic: "ur"}, 0.2, shortRC())
@@ -99,9 +116,7 @@ func TestDisconnectedRouterDropsNotHangs(t *testing.T) {
 // and the rest of the network keeps carrying traffic.
 func TestFailedRouterKeepsNetworkUsable(t *testing.T) {
 	sys := testSystem(t)
-	plan := fault.NewPlan(1)
-	plan.FailRouter(0)
-	fsys := sys.WithFaults(plan)
+	fsys := withTimeline(t, sys, fault.NewTimeline(1).FailRouterAt(0, 0))
 	res, err := fsys.Run(AlgUGALL, Workload{Traffic: "ur"}, 0.2, shortRC())
 	if err != nil {
 		t.Fatalf("run with a failed router: %v", err)
@@ -128,10 +143,8 @@ func TestResilienceAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := fault.NewPlan(1)
-	plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
-	fsys := sys.WithFaults(plan)
-	if !fsys.Degraded().Connected() {
+	fsys := withTimeline(t, sys, fault.NewTimeline(1).FailFractionAt(0, topology.ClassGlobal, 0.10))
+	if !fsys.Timeline().Epochs[0].View.Connected() {
 		t.Fatal("10% global failures disconnected the 1K network (unexpected at this fraction)")
 	}
 

@@ -69,6 +69,22 @@ type goldenRun struct {
 	load    float64
 }
 
+// failGlobalsAtZero attaches to sys the standing fault of the faulted
+// goldens: fraction f of the global channels, drawn from seed, failed
+// by a cycle-0 timeline event (a one-epoch schedule).
+func failGlobalsAtZero(t testing.TB, sys *core.System, seed uint64, f float64) *core.System {
+	t.Helper()
+	sched, err := fault.NewTimeline(seed).FailFractionAt(0, topology.ClassGlobal, f).Compile(sys.Topo)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	fsys, err := sys.WithTimeline(sched)
+	if err != nil {
+		t.Fatalf("WithTimeline: %v", err)
+	}
+	return fsys
+}
+
 // goldenHash runs the scenario set for one seed and returns the
 // combined FNV-1a hash.
 func goldenHash(t *testing.T, seed uint64, failGlobals bool) string {
@@ -84,9 +100,7 @@ func goldenHash(t *testing.T, seed uint64, failGlobals bool) string {
 		{core.AlgUGALLVCH, "WC", 0.25},
 	}
 	if failGlobals {
-		plan := fault.NewPlan(seed)
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
-		sys = sys.WithFaults(plan)
+		sys = failGlobalsAtZero(t, sys, seed, 0.10)
 		runs = []goldenRun{
 			{core.AlgMIN, "UR", 0.2},
 			{core.AlgUGALL, "UR", 0.25},
@@ -116,7 +130,9 @@ func TestGoldenHashPristine(t *testing.T) {
 }
 
 // TestGoldenHashFaulted pins the fault-detour paths: 10%% of the global
-// channels failed, same three seeds.
+// channels failed, same three seeds. The constants were captured from a
+// static fault plan; the faults are now a cycle-0 timeline event, whose
+// one epoch replays the plan's seeded draw chain bit for bit.
 func TestGoldenHashFaulted(t *testing.T) {
 	for seed, want := range goldenFaulted {
 		got := goldenHash(t, seed, true)

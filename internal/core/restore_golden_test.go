@@ -18,9 +18,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/core"
-	"dragonfly/internal/fault"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/topology"
 )
 
 // errStopAfterSnapshot aborts a checkpoint-capture run once the sink
@@ -58,9 +56,7 @@ func restoreScenarios() []restoreScenario {
 				if err != nil {
 					t.Fatalf("NewSystem: %v", err)
 				}
-				plan := fault.NewPlan(seed)
-				plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
-				return sys.WithFaults(plan)
+				return failGlobalsAtZero(t, sys, seed, 0.10)
 			},
 			alg: core.AlgMIN, pattern: "UR", load: 0.2,
 		},

@@ -48,9 +48,7 @@ func goldenHashSharded(t *testing.T, seed uint64, failGlobals bool, shards int) 
 		{core.AlgUGALLVCH, "WC", 0.25},
 	}
 	if failGlobals {
-		plan := fault.NewPlan(seed)
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
-		sys = sys.WithFaults(plan)
+		sys = failGlobalsAtZero(t, sys, seed, 0.10)
 		runs = []goldenRun{
 			{core.AlgMIN, "UR", 0.2},
 			{core.AlgUGALL, "UR", 0.25},

@@ -1,12 +1,11 @@
 package core_test
 
-// Fault-timeline equivalence and determinism tests. Two golden-hash
-// pins anchor the epoch-swap machinery to the static engine: an empty
-// timeline must reproduce the pristine goldens bit for bit (the swap
-// path adds nothing to a run with no events), and a timeline whose only
-// events fire at cycle 0 must reproduce the static fault-plan goldens
-// (epoch 0 replays the same seeded draw chain a standing Plan makes).
-// A third test pins a fail-then-recover run to identical results across
+// Fault-timeline equivalence and determinism tests. An empty timeline
+// must reproduce the pristine goldens bit for bit (the swap path adds
+// nothing to a run with no events); a timeline whose only events fire
+// at cycle 0 must reproduce the faulted goldens (TestGoldenHashFaulted
+// builds them the same way, through a shared helper).
+// Another test pins a fail-then-recover run to identical results across
 // worker-pool sizes.
 
 import (
@@ -68,9 +67,10 @@ func TestTimelineEmptyMatchesPristineGolden(t *testing.T) {
 }
 
 // TestTimelineCycleZeroMatchesFaultedGolden pins a cycle-0-only
-// timeline to the static fault-plan goldens: epoch 0 compiled from
-// "fail 10%% of globals at cycle 0" replays the exact draw chain of the
-// equivalent standing Plan, so results must match bit for bit.
+// timeline, built and attached here through the public Timeline →
+// Compile → WithTimeline path rather than the golden tests' helper, to
+// the faulted goldens: "fail 10% of globals at cycle 0" is one epoch
+// at Start 0 and must reproduce those results bit for bit.
 func TestTimelineCycleZeroMatchesFaultedGolden(t *testing.T) {
 	runs := []goldenRun{
 		{core.AlgMIN, "UR", 0.2},
@@ -201,9 +201,8 @@ func TestTimelineInvariantsAcrossRevive(t *testing.T) {
 	}
 }
 
-// TestWithTimelineRejections covers the misuse errors: combining a
-// timeline with a standing fault plan, and attaching a schedule
-// compiled against a different topology.
+// TestWithTimelineRejections covers the misuse error — attaching a
+// schedule compiled against a different topology — and clearing.
 func TestWithTimelineRejections(t *testing.T) {
 	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2})
 	if err != nil {
@@ -212,12 +211,6 @@ func TestWithTimelineRejections(t *testing.T) {
 	sched, err := fault.NewTimeline(1).FailChannelsAt(100, topology.ClassGlobal, 1).Compile(sys.Topo)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
-	}
-
-	plan := fault.NewPlan(1)
-	plan.FailRandomChannels(sys.Topo, topology.ClassGlobal, 1)
-	if _, err := sys.WithFaults(plan).WithTimeline(sched); err == nil {
-		t.Error("timeline accepted alongside a static fault plan")
 	}
 
 	other, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2})

@@ -17,9 +17,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/core"
-	"dragonfly/internal/fault"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/topology"
 	"dragonfly/internal/workload"
 )
 
@@ -42,9 +40,7 @@ func goldenHashW(t *testing.T, seed uint64, failGlobals bool, shards int) string
 		{core.AlgUGALLVCH, "WC", 0.25},
 	}
 	if failGlobals {
-		plan := fault.NewPlan(seed)
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
-		sys = sys.WithFaults(plan)
+		sys = failGlobalsAtZero(t, sys, seed, 0.10)
 		runs = []goldenRun{
 			{core.AlgMIN, "UR", 0.2},
 			{core.AlgUGALL, "UR", 0.25},

@@ -59,9 +59,14 @@ func Resilience(s Scale) ([]*Figure, error) {
 	err = s.Pool().ForEach(njobs, func(k int) error {
 		alg := algs[k/len(fracs)]
 		frac := fracs[k%len(fracs)]
-		plan := fault.NewPlan(resilienceFaultSeed)
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, frac)
-		fsys := sys.WithFaults(plan)
+		sched, err := fault.NewTimeline(resilienceFaultSeed).FailFractionAt(0, topology.ClassGlobal, frac).Compile(sys.Topo)
+		if err != nil {
+			return fmt.Errorf("%.0f%% failed: %w", 100*frac, err)
+		}
+		fsys, err := sys.WithTimeline(sched)
+		if err != nil {
+			return fmt.Errorf("%.0f%% failed: %w", 100*frac, err)
+		}
 		points, err := fsys.Sweep(s.Pool(), alg, ur, s.urLoads(), s.runCfg(), 2)
 		if err != nil {
 			return fmt.Errorf("%s at %.0f%% failed: %w", alg, 100*frac, err)
@@ -69,7 +74,7 @@ func Resilience(s Scale) ([]*Figure, error) {
 		if len(points) == 0 {
 			return fmt.Errorf("%s at %.0f%% failed: empty sweep", alg, 100*frac)
 		}
-		p := point{lowLat: points[0].Result.Latency.Mean(), conn: fsys.Degraded().Connected()}
+		p := point{lowLat: points[0].Result.Latency.Mean(), conn: sched.Epochs[0].View.Connected()}
 		for _, pt := range points {
 			if pt.Result.Accepted > p.satThr {
 				p.satThr = pt.Result.Accepted

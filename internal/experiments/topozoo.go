@@ -99,9 +99,14 @@ func TopoZoo(s Scale) (*Table, error) {
 		}
 
 		// Resilience: fail 10% of the global channels and re-sweep.
-		plan := fault.NewPlan(topoZooFaultSeed)
-		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
-		fsys := sys.WithFaults(plan)
+		sched, err := fault.NewTimeline(topoZooFaultSeed).FailFractionAt(0, topology.ClassGlobal, 0.10).Compile(sys.Topo)
+		if err != nil {
+			return fmt.Errorf("%s degraded: %w", e.family, err)
+		}
+		fsys, err := sys.WithTimeline(sched)
+		if err != nil {
+			return fmt.Errorf("%s degraded: %w", e.family, err)
+		}
 		dpoints, err := fsys.Sweep(s.Pool(), core.AlgUGALL, ur, s.urLoads(), s.runCfg(), 2)
 		if err != nil {
 			return fmt.Errorf("%s degraded: %w", e.family, err)

@@ -1,8 +1,9 @@
 // Package fault builds deterministic, seeded fault-injection plans for
-// topology graphs: individual channels (by class: global, local,
-// terminal) and whole routers are marked failed, and the resulting Plan
-// is handed to topology.NewDegraded to derive the fault-aware view the
-// routing algorithms and the simulator consume.
+// topology machines: individual channels (by class: global, local,
+// terminal) and whole routers are marked failed, and a Timeline of such
+// events compiles into a Schedule of per-epoch topology.Degraded views
+// the simulator installs (standing faults are the cycle-0 events of a
+// one-epoch schedule).
 //
 // Plans are deterministic: the same seed and the same sequence of
 // builder calls over the same wiring produce the identical plan,
@@ -18,14 +19,6 @@ import (
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 )
-
-// Wiring is the structural view a Plan needs to enumerate channels. Any
-// *topology.Graph (or topology embedding one) satisfies it.
-type Wiring interface {
-	Routers() int
-	Radix(r int) int
-	Port(r, p int) topology.Port
-}
 
 type portKey struct{ r, p int }
 
@@ -77,7 +70,7 @@ func (p *Plan) FailRouter(r int) {
 // FailChannel marks the channel attached at (r, port) of w failed,
 // marking both endpoints so the failure is symmetric (a cut cable, not
 // a one-way fault). Repeated calls on either end are idempotent.
-func (p *Plan) FailChannel(w Wiring, r, port int) {
+func (p *Plan) FailChannel(w topology.Machine, r, port int) {
 	if p.ports[portKey{r, port}] {
 		return
 	}
@@ -93,7 +86,7 @@ func (p *Plan) FailChannel(w Wiring, r, port int) {
 // the plan has not yet failed (explicitly or via a failed router), each
 // channel once, identified by its lower (router, port) endpoint, in
 // canonical ascending order.
-func (p *Plan) channels(w Wiring, c topology.Class) []portKey {
+func (p *Plan) channels(w topology.Machine, c topology.Class) []portKey {
 	var out []portKey
 	for r := 0; r < w.Routers(); r++ {
 		for i := 0; i < w.Radix(r); i++ {
@@ -125,7 +118,7 @@ func (p *Plan) channels(w Wiring, c topology.Class) []portKey {
 // live channels remain). The draw order is a partial Fisher–Yates over
 // the canonical channel enumeration, so the result is a pure function
 // of the plan seed, the draw counter, and the wiring.
-func (p *Plan) FailRandomChannels(w Wiring, c topology.Class, k int) int {
+func (p *Plan) FailRandomChannels(w topology.Machine, c topology.Class, k int) int {
 	cand := p.channels(w, c)
 	failed := 0
 	for ; failed < k && len(cand) > 0; failed++ {
@@ -141,7 +134,7 @@ func (p *Plan) FailRandomChannels(w Wiring, c topology.Class, k int) int {
 // FailFraction fails fraction f (rounded to the nearest whole channel)
 // of the class-c channels of w, counting channels already failed
 // against the target. It returns the number newly failed.
-func (p *Plan) FailFraction(w Wiring, c topology.Class, f float64) int {
+func (p *Plan) FailFraction(w topology.Machine, c topology.Class, f float64) int {
 	if f <= 0 {
 		return 0
 	}
@@ -157,7 +150,7 @@ func (p *Plan) FailFraction(w Wiring, c topology.Class, f float64) int {
 // FailRandomRouters fails k routers drawn uniformly, without
 // replacement, from the routers of w still alive in the plan, returning
 // the number actually failed.
-func (p *Plan) FailRandomRouters(w Wiring, k int) int {
+func (p *Plan) FailRandomRouters(w topology.Machine, k int) int {
 	var cand []int
 	for r := 0; r < w.Routers(); r++ {
 		if !p.routers[r] {
@@ -180,7 +173,7 @@ func (p *Plan) FailRandomRouters(w Wiring, k int) int {
 // canonical ascending order — the repair-side mirror of channels().
 // Channels dead only because a router failed are not included: they are
 // not explicit channel faults and revive with the router.
-func (p *Plan) failedChannels(w Wiring, c topology.Class) []portKey {
+func (p *Plan) failedChannels(w topology.Machine, c topology.Class) []portKey {
 	var out []portKey
 	for r := 0; r < w.Routers(); r++ {
 		for i := 0; i < w.Radix(r); i++ {
@@ -215,7 +208,7 @@ func (p *Plan) RecoverRouter(r int) {
 // (r, port), both endpoints. Recovering a live channel is a no-op; the
 // channel stays dead in derived views while either endpoint router is
 // still down.
-func (p *Plan) RecoverChannel(w Wiring, r, port int) {
+func (p *Plan) RecoverChannel(w topology.Machine, r, port int) {
 	if !p.ports[portKey{r, port}] {
 		return
 	}
@@ -232,7 +225,7 @@ func (p *Plan) RecoverChannel(w Wiring, r, port int) {
 // returning the number actually repaired (fewer than k when fewer are
 // failed). The draws come from the same seeded chain as the failure
 // draws, so a fail/recover sequence is one deterministic stream.
-func (p *Plan) RecoverRandomChannels(w Wiring, c topology.Class, k int) int {
+func (p *Plan) RecoverRandomChannels(w topology.Machine, c topology.Class, k int) int {
 	cand := p.failedChannels(w, c)
 	fixed := 0
 	for ; fixed < k && len(cand) > 0; fixed++ {

@@ -16,7 +16,7 @@ func testDF(t *testing.T) *topology.Dragonfly {
 }
 
 // samePlans reports whether two plans agree on every router and port of w.
-func samePlans(w Wiring, a, b *Plan) bool {
+func samePlans(w topology.Machine, a, b *Plan) bool {
 	for r := 0; r < w.Routers(); r++ {
 		if a.RouterDown(r) != b.RouterDown(r) {
 			return false

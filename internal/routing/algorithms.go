@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dragonfly/internal/sim"
+	"dragonfly/internal/topology"
 )
 
 // MIN is minimal routing (Section 4.1): at most one local hop in the
@@ -12,45 +13,45 @@ import (
 type MIN struct{ base }
 
 // NewMIN returns minimal routing over d.
-func NewMIN(d Topo) *MIN { return &MIN{newBase(d)} }
+func NewMIN(d topology.Machine) *MIN { return &MIN{newBase(d)} }
 
 // Name implements sim.Routing.
 func (*MIN) Name() string { return "MIN" }
 
-// Decide implements sim.Routing: always minimal on a pristine topology.
-// On a degraded one, a source-destination group pair whose every direct
+// Decide implements sim.Routing: always minimal on a pristine network.
+// Under a fault view, a source-destination group pair whose every direct
 // global channel died falls back to a Valiant detour through a live
 // intermediate group (the VC scheme already covers non-minimal paths,
 // so the fallback stays within the deadlock-free ordering); a
 // destination no fallback can reach is reported unroutable.
 func (m *MIN) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
-	if m.deg != nil {
-		return m.decideWithFaults(r, hs, false)
+	if v := net.View(); v != nil {
+		return m.decideWithFaults(v, r, hs, false)
 	}
 	hs.Minimal = true
 	hs.InterGroup = -1
 	return nil
 }
 
-// decideWithFaults is the shared minimal-preferred decision under a
-// fault plan: route minimally when a live minimal path exists, detour
+// decideWithFaults is the shared minimal-preferred decision under
+// fault view v: route minimally when a live minimal path exists, detour
 // through a live intermediate group otherwise. forceDetour skips the
 // minimal preference (VAL's behaviour).
-func (b *base) decideWithFaults(r *sim.Router, hs *sim.HopState, forceDetour bool) error {
+func (b *base) decideWithFaults(v *topology.Degraded, r *sim.Router, hs *sim.HopState, forceDetour bool) error {
 	t := b.topo
-	if b.deg.TerminalDown(hs.Dst) {
+	if v.TerminalDown(hs.Dst) {
 		return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
 	}
 	dstR := t.TerminalRouter(hs.Dst)
 	gs := t.RouterGroup(r.ID)
 	gd := t.RouterGroup(dstR)
-	minFeasible := dstR == r.ID || gs == gd || b.deg.LiveChannels(gs, gd) > 0
+	minFeasible := dstR == r.ID || gs == gd || v.LiveChannels(gs, gd) > 0
 	if minFeasible && (!forceDetour || dstR == r.ID) {
 		hs.Minimal = true
 		hs.InterGroup = -1
 		return nil
 	}
-	gi, ok := b.pickLiveInterGroup(gs, gd, hs.Seed)
+	gi, ok := b.pickLiveInterGroup(v, gs, gd, hs.Seed)
 	if ok && gi != gs {
 		hs.Minimal = false
 		hs.InterGroup = gi
@@ -73,25 +74,25 @@ func (b *base) decideWithFaults(r *sim.Router, hs *sim.HopState, forceDetour boo
 type VAL struct{ base }
 
 // NewVAL returns Valiant routing over d.
-func NewVAL(d Topo) *VAL { return &VAL{newBase(d)} }
+func NewVAL(d topology.Machine) *VAL { return &VAL{newBase(d)} }
 
 // Name implements sim.Routing.
 func (*VAL) Name() string { return "VAL" }
 
 // Decide implements sim.Routing: always non-minimal through a random
-// intermediate group. On a degraded topology the intermediate group is
+// intermediate group. Under a fault view the intermediate group is
 // drawn among the groups whose detour channels survived.
-func (v *VAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
-	if v.deg != nil {
-		return v.decideWithFaults(r, hs, true)
+func (val *VAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
+	if v := net.View(); v != nil {
+		return val.decideWithFaults(v, r, hs, true)
 	}
-	gs := v.topo.RouterGroup(r.ID)
-	if v.topo.TerminalRouter(hs.Dst) == r.ID {
+	gs := val.topo.RouterGroup(r.ID)
+	if val.topo.TerminalRouter(hs.Dst) == r.ID {
 		hs.Minimal = true
 		hs.InterGroup = -1
 		return nil
 	}
-	gi := v.pickInterGroup(gs, hs.Seed)
+	gi := val.pickInterGroup(gs, hs.Seed)
 	if gi == gs {
 		// Single-group topology: no intermediate group exists, so the
 		// "Valiant" path is the minimal one.
@@ -152,14 +153,14 @@ type UGAL struct {
 }
 
 // NewUGAL returns a UGAL router over d with the given mode.
-func NewUGAL(d Topo, mode UGALMode) *UGAL {
+func NewUGAL(d topology.Machine, mode UGALMode) *UGAL {
 	return &UGAL{base: newBase(d), Mode: mode}
 }
 
 // NewUGALCR returns the UGAL-L_CR configuration: UGAL-L_VCH decisions
 // designed to run with the credit round-trip latency mechanism enabled
 // (sim.Config.DelayCredits = true; see NeedsCreditDelay).
-func NewUGALCR(d Topo) *UGAL {
+func NewUGALCR(d topology.Machine) *UGAL {
 	return &UGAL{base: newBase(d), Mode: UGALLocalVCH, CreditRT: true}
 }
 
@@ -175,14 +176,15 @@ func (u *UGAL) Name() string {
 // credit mechanism for this algorithm.
 func (u *UGAL) NeedsCreditDelay() bool { return u.CreditRT }
 
-// Decide implements sim.Routing: the source-router adaptive choice. On
-// a degraded topology the minimal and Valiant candidates are restricted
+// Decide implements sim.Routing: the source-router adaptive choice.
+// Under a fault view the minimal and Valiant candidates are restricted
 // to surviving channels; when only one candidate survives it is taken
 // without a queue comparison, and when neither does the packet is
 // unroutable.
 func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 	t := u.topo
-	if u.deg != nil && u.deg.TerminalDown(hs.Dst) {
+	v := net.View()
+	if v != nil && v.TerminalDown(hs.Dst) {
 		return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
 	}
 	dstR := t.TerminalRouter(hs.Dst)
@@ -195,10 +197,10 @@ func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 	gd := t.RouterGroup(dstR)
 
 	var gi int
-	if u.deg != nil {
-		minFeasible := gs == gd || u.deg.LiveChannels(gs, gd) > 0
+	if v != nil {
+		minFeasible := gs == gd || v.LiveChannels(gs, gd) > 0
 		var giOK bool
-		gi, giOK = u.pickLiveInterGroup(gs, gd, hs.Seed)
+		gi, giOK = u.pickLiveInterGroup(v, gs, gd, hs.Seed)
 		switch {
 		case !minFeasible && !giOK:
 			return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
@@ -223,11 +225,11 @@ func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 		}
 	}
 
-	hm := u.minimalHops(r.ID, dstR, hs.Seed)
-	hnm := u.nonminimalHops(r.ID, dstR, gi, hs.Seed)
+	hm := u.minimalHops(v, r.ID, dstR, hs.Seed)
+	hnm := u.nonminimalHops(v, r.ID, dstR, gi, hs.Seed)
 
-	portM, vcM, errM := u.hop(r.ID, dstR, gd, true, hs.Seed)
-	portNm, vcNm, errNm := u.hop(r.ID, dstR, gi, false, hs.Seed)
+	portM, vcM, errM := u.hop(v, r.ID, dstR, gd, true, hs.Seed)
+	portNm, vcNm, errNm := u.hop(v, r.ID, dstR, gi, false, hs.Seed)
 	// Either candidate's first hop can be locally severed even when the
 	// group pair keeps live channels; fall back to the other candidate.
 	switch {
@@ -260,7 +262,7 @@ func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 			qnm = r.OutputQueue(portNm)
 		}
 	case UGALGlobal:
-		qm, qnm = u.globalQueues(net, r, dstR, gs, gd, gi, hs.Seed, portM, portNm)
+		qm, qnm = u.globalQueues(net, v, r, gs, gd, gi, hs.Seed, portM, portNm)
 	}
 
 	if qm*hm <= qnm*hnm {
@@ -278,11 +280,11 @@ func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 // global channels, regardless of where in the group those routers are.
 // For an intra-group minimal path (no global channel) the local output
 // queue stands in.
-func (u *UGAL) globalQueues(net *sim.Network, r *sim.Router, dstR, gs, gd, gi int, seed uint64, portM, portNm int) (qm, qnm int) {
+func (u *UGAL) globalQueues(net *sim.Network, v *topology.Degraded, r *sim.Router, gs, gd, gi int, seed uint64, portM, portNm int) (qm, qnm int) {
 	t := u.topo
 	if gs == gd {
 		qm = r.OutputQueue(portM)
-	} else if slot := u.chooseSlot(gs, gd, seed); slot < 0 {
+	} else if slot := u.chooseSlot(v, gs, gd, seed); slot < 0 {
 		qm = r.OutputQueue(portM) // severed pair: callers never reach here
 	} else {
 		owner := net.RouterAt(t.GroupRouter(gs, t.SlotRouterIndex(slot)))
@@ -290,7 +292,7 @@ func (u *UGAL) globalQueues(net *sim.Network, r *sim.Router, dstR, gs, gd, gi in
 	}
 	if gi == gs {
 		qnm = qm
-	} else if slot := u.chooseSlot(gs, gi, seed); slot < 0 {
+	} else if slot := u.chooseSlot(v, gs, gi, seed); slot < 0 {
 		qnm = r.OutputQueue(portNm)
 	} else {
 		owner := net.RouterAt(t.GroupRouter(gs, t.SlotRouterIndex(slot)))

@@ -48,6 +48,20 @@ func isolateGroup(t *testing.T, d *topology.Dragonfly, g int) *topology.Degraded
 	return dg
 }
 
+// faultedNet builds a network over d with dg installed as its one
+// fault epoch, from cycle 0.
+func faultedNet(t *testing.T, d *topology.Dragonfly, dg *topology.Degraded, rt sim.Routing, tr sim.Traffic) *sim.Network {
+	t.Helper()
+	net, err := sim.New(d, testCfg(), rt, tr)
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	if err := net.SetTimeline([]sim.Epoch{{Start: 0, View: dg}}); err != nil {
+		t.Fatalf("SetTimeline: %v", err)
+	}
+	return net
+}
+
 // nextGroupTraffic sends every terminal's packets to the same-position
 // terminal of the next group, so all traffic crosses exactly one group
 // boundary.
@@ -65,11 +79,7 @@ func (tr nextGroupTraffic) Dest(src int, _ uint64) int {
 func TestMINDetoursAroundSeveredPair(t *testing.T) {
 	d := testDF(t) // 1 channel per group pair at this size
 	dg := severPair(t, d, 0, 1)
-	m := NewMIN(dg)
-	net, err := sim.New(dg, testCfg(), m, nextGroupTraffic{d})
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
+	net := faultedNet(t, d, dg, NewMIN(d), nextGroupTraffic{d})
 	crossDelivered, detours := 0, 0
 	net.OnEject = func(p *sim.Packet, now int64) {
 		if d.TerminalGroup(p.Src) == 0 && d.TerminalGroup(p.Dst) == 1 {
@@ -107,16 +117,13 @@ func TestVCLevelsMonotoneUnderFaults(t *testing.T) {
 	plan.FailRandomChannels(d, topology.ClassLocal, 4)
 	dg := topology.NewDegraded(d, plan)
 	for _, mk := range []func() sim.Routing{
-		func() sim.Routing { return NewMIN(dg) },
-		func() sim.Routing { return NewVAL(dg) },
-		func() sim.Routing { return NewUGAL(dg, UGALLocal) },
-		func() sim.Routing { return NewUGAL(dg, UGALLocalVCH) },
+		func() sim.Routing { return NewMIN(d) },
+		func() sim.Routing { return NewVAL(d) },
+		func() sim.Routing { return NewUGAL(d, UGALLocal) },
+		func() sim.Routing { return NewUGAL(d, UGALLocalVCH) },
 	} {
 		rec := &hopRecorder{inner: mk(), topo: d, bad: t.Errorf, lastVC: map[uint64]vcState{}}
-		net, err := sim.New(dg, testCfg(), rec, traffic.NewUniformRandom(d.Nodes()))
-		if err != nil {
-			t.Fatalf("sim.New: %v", err)
-		}
+		net := faultedNet(t, d, dg, rec, traffic.NewUniformRandom(d.Nodes()))
 		net.SetLoad(0.3)
 		for i := 0; i < 1500; i++ {
 			if err := net.Step(); err != nil {
@@ -133,14 +140,11 @@ func TestDisconnectedGroupDropsNotHangs(t *testing.T) {
 	d := testDF(t)
 	dg := isolateGroup(t, d, 0)
 	for _, mk := range []func() sim.Routing{
-		func() sim.Routing { return NewMIN(dg) },
-		func() sim.Routing { return NewUGAL(dg, UGALLocal) },
+		func() sim.Routing { return NewMIN(d) },
+		func() sim.Routing { return NewUGAL(d, UGALLocal) },
 	} {
 		rt := mk()
-		net, err := sim.New(dg, testCfg(), rt, nextGroupTraffic{d})
-		if err != nil {
-			t.Fatalf("sim.New: %v", err)
-		}
+		net := faultedNet(t, d, dg, rt, nextGroupTraffic{d})
 		net.SetLoad(0.2)
 		for i := 0; i < 2000; i++ {
 			if err := net.Step(); err != nil {
@@ -153,24 +157,29 @@ func TestDisconnectedGroupDropsNotHangs(t *testing.T) {
 	}
 }
 
-// TestEmptyPlanBitIdenticalRouting: attaching an all-alive fault plan
-// must not change a single routing decision — the degraded code paths
-// reduce exactly to the pristine ones.
+// TestEmptyPlanBitIdenticalRouting: installing an all-alive fault view
+// must not change a single routing decision — the fault-aware code
+// paths reduce exactly to the pristine ones.
 func TestEmptyPlanBitIdenticalRouting(t *testing.T) {
 	d := testDF(t)
 	dg := topology.NewDegraded(d, fault.NewPlan(1))
 	for _, mk := range []struct {
-		name               string
-		pristine, degraded sim.Routing
+		name string
+		rt   func() sim.Routing
 	}{
-		{"MIN", NewMIN(d), NewMIN(dg)},
-		{"VAL", NewVAL(d), NewVAL(dg)},
-		{"UGAL-L", NewUGAL(d, UGALLocal), NewUGAL(dg, UGALLocal)},
+		{"MIN", func() sim.Routing { return NewMIN(d) }},
+		{"VAL", func() sim.Routing { return NewVAL(d) }},
+		{"UGAL-L", func() sim.Routing { return NewUGAL(d, UGALLocal) }},
 	} {
-		run := func(rt sim.Routing, topo sim.Topology) (ejected int, latSum int64) {
-			net, err := sim.New(topo, testCfg(), rt, traffic.NewUniformRandom(d.Nodes()))
+		run := func(view *topology.Degraded) (ejected int, latSum int64) {
+			net, err := sim.New(d, testCfg(), mk.rt(), traffic.NewUniformRandom(d.Nodes()))
 			if err != nil {
 				t.Fatalf("sim.New: %v", err)
+			}
+			if view != nil {
+				if err := net.SetTimeline([]sim.Epoch{{Start: 0, View: view}}); err != nil {
+					t.Fatalf("SetTimeline: %v", err)
+				}
 			}
 			net.OnEject = func(p *sim.Packet, now int64) {
 				ejected++
@@ -184,8 +193,8 @@ func TestEmptyPlanBitIdenticalRouting(t *testing.T) {
 			}
 			return
 		}
-		e1, l1 := run(mk.pristine, d)
-		e2, l2 := run(mk.degraded, dg)
+		e1, l1 := run(nil)
+		e2, l2 := run(dg)
 		if e1 != e2 || l1 != l2 {
 			t.Errorf("%s: empty fault plan changed the simulation: %d pkts/%d lat vs %d pkts/%d lat",
 				mk.name, e1, l1, e2, l2)

@@ -27,6 +27,7 @@ package routing
 
 import (
 	"dragonfly/internal/sim"
+	"dragonfly/internal/topology"
 )
 
 // VCs is the number of virtual channels the algorithms require
@@ -40,98 +41,35 @@ const (
 	vcDestHop = 2 // the final local hop inside the destination group
 )
 
-// Topo is the structural view of a dragonfly-family machine the
-// routing algorithms need: a structural subset of topology.Machine, so
-// every registered topology — *topology.Dragonfly, *DragonflyFB,
-// *DragonflyPlus, *Swapped, *Aries — implements it, as do the
-// fault-aware Degraded/Switched wrappers. The one structural invariant
-// the algorithms assume is the dragonfly family's: any two groups are
-// connected by at least one direct global channel, so minimal paths
-// take exactly one global hop and Valiant paths two.
-type Topo interface {
-	// Groups returns the group count.
-	Groups() int
-	// TerminalRouter and TerminalPort locate a terminal.
-	TerminalRouter(t int) int
-	TerminalPort(t int) int
-	// RouterGroup, RouterIndex and GroupRouter convert between router
-	// ids and (group, in-group index) pairs.
-	RouterGroup(r int) int
-	RouterIndex(r int) int
-	GroupRouter(grp, idx int) int
-	// LocalRoute returns the next-hop local port from in-group index
-	// `from` towards `to`; LocalHops the intra-group distance.
-	LocalRoute(from, to int) int
-	LocalHops(from, to int) int
-	// GlobalPort and SlotRouterIndex locate a global-channel slot;
-	// ChannelsBetween, GlobalSlot and GlobalEntryRouter describe the
-	// inter-group wiring.
-	GlobalPort(slot int) int
-	SlotRouterIndex(slot int) int
-	ChannelsBetween(ga, gb int) int
-	GlobalSlot(grp, dst, m int) int
-	GlobalEntryRouter(grp, dst, slot int) int
-}
-
-// DegradedTopo is the fault-aware structural view the algorithms need
-// on top of Topo. *topology.Degraded implements it; when a topology
-// handed to a constructor satisfies it, the algorithm routes around the
-// dead channels it describes.
-type DegradedTopo interface {
-	Topo
-	// Alive reports whether the channel attached at (router, port) can
-	// carry flits.
-	Alive(router, port int) bool
-	// RouterDown reports that router r failed entirely.
-	RouterDown(r int) bool
-	// TerminalDown reports that terminal t is unreachable.
-	TerminalDown(t int) bool
-	// LiveChannels counts the surviving global channels between two
-	// groups.
-	LiveChannels(ga, gb int) int
-	// LiveGlobalSlot returns the m-th surviving global-channel slot from
-	// grp to dst (m wrapped into the live count), or -1 when none
-	// survive.
-	LiveGlobalSlot(grp, dst, m int) int
-	// RoutersPerGroup returns the group size (for local detours).
-	RoutersPerGroup() int
-}
-
-// SeededTopo is the optional bundle-spreading capability of topologies
-// with parallel local links (topology.SeededLocal): LocalRouteSeeded is
-// LocalRoute with a deterministic per-packet choice among the parallel
-// cables of a local hop. Detected by type assertion in newBase; direct
-// local hops then spread over the bundle while hop counts and detours
-// keep using LocalRoute/LocalHops (every cable of a bundle is one hop).
-type SeededTopo interface {
-	LocalRouteSeeded(from, to int, seed uint64) int
-}
-
-// base carries the dragonfly structure all algorithms share. deg is
-// non-nil when the topology is a fault-aware degraded view; every
-// structural query then consults channel liveness. sl is non-nil when
-// the topology spreads parallel local links per packet.
+// base carries the dragonfly structure all algorithms share: the
+// machine, and its bundle-spreading capability (sl, non-nil when the
+// machine spreads parallel local links per packet). The algorithms rely
+// on the one invariant every dragonfly-family Machine shares: any two
+// groups are connected by at least one direct global channel, so
+// minimal paths take exactly one global hop and Valiant paths two.
+//
+// Fault state is not stored here: the network owns it and every query
+// reads the view in force through sim.Network.View, passed down the
+// helpers as v. A nil v is the pristine machine; a non-nil v makes
+// every structural query consult channel liveness. Shards call one
+// routing value concurrently, so it holds nothing per epoch.
 type base struct {
-	topo Topo
-	deg  DegradedTopo
-	sl   SeededTopo
+	topo topology.Machine
+	sl   topology.SeededLocal
 }
 
-// newBase wraps t, detecting a degraded (fault-aware) topology and the
-// optional local-bundle capability.
-func newBase(t Topo) base {
-	b := base{topo: t}
-	if d, ok := t.(DegradedTopo); ok {
-		b.deg = d
-	}
-	if s, ok := t.(SeededTopo); ok {
-		b.sl = s
-	}
+// newBase wraps m, detecting the optional local-bundle capability:
+// direct local hops then spread over the bundle while hop counts and
+// detours keep using LocalRoute/LocalHops (every cable of a bundle is
+// one hop).
+func newBase(m topology.Machine) base {
+	b := base{topo: m}
+	b.sl, _ = m.(topology.SeededLocal)
 	return b
 }
 
 // errNoLivePath is the internal marker hop helpers return when the
-// fault plan severed every channel the requested hop could use; callers
+// faults severed every channel the requested hop could use; callers
 // holding packet context convert it to *sim.UnroutableError.
 var errNoLivePath = &internalNoPathError{}
 
@@ -144,19 +82,19 @@ func (*internalNoPathError) Error() string { return "routing: no live channel fo
 // phase1 reports whether tg is the packet's final destination group.
 // seed drives the deterministic choice among parallel global channels,
 // so Decide-time congestion queries inspect exactly the channel NextHop
-// will use. On a degraded topology it returns errNoLivePath when no
-// live channel can make progress.
-func (b *base) hop(rID, dstR, tg int, phase1 bool, seed uint64) (port, vc int, err error) {
+// will use. Under a fault view it returns errNoLivePath when no live
+// channel can make progress.
+func (b *base) hop(v *topology.Degraded, rID, dstR, tg int, phase1 bool, seed uint64) (port, vc int, err error) {
 	t := b.topo
 	cur := t.RouterGroup(rID)
 	idx := t.RouterIndex(rID)
 	if cur == tg {
 		// Local hop(s) inside the destination group (dimension-order for
 		// flattened-butterfly groups, direct otherwise).
-		port, err = b.localPort(rID, t.RouterIndex(dstR), seed)
+		port, err = b.localPort(v, rID, t.RouterIndex(dstR), seed)
 		return port, vcDestHop, err
 	}
-	slot := b.chooseSlot(cur, tg, seed)
+	slot := b.chooseSlot(v, cur, tg, seed)
 	if slot < 0 {
 		return 0, 0, errNoLivePath
 	}
@@ -167,31 +105,31 @@ func (b *base) hop(rID, dstR, tg int, phase1 bool, seed uint64) (port, vc int, e
 	if t.SlotRouterIndex(slot) == idx {
 		return t.GlobalPort(slot), level, nil
 	}
-	port, err = b.localPort(rID, t.SlotRouterIndex(slot), seed)
+	port, err = b.localPort(v, rID, t.SlotRouterIndex(slot), seed)
 	return port, level, err
 }
 
 // localPort returns the local output port from rID toward the router
-// with in-group index toIdx. On a pristine topology this is the direct
-// next hop; on a degraded one, a dead direct channel is detoured
+// with in-group index toIdx. On a pristine machine this is the direct
+// next hop; under a fault view, a dead direct channel is detoured
 // through one live intermediate router of the group, chosen
 // deterministically from the packet seed. The detour stays on the same
 // VC — legal here because the fully connected group's local hops are
 // acyclic in the detour's two-hop pattern, though pathological fault
 // plans could in principle defeat the ordering, which is exactly what
 // the stall detector's diagnostic snapshot exists to expose.
-func (b *base) localPort(rID, toIdx int, seed uint64) (int, error) {
+func (b *base) localPort(v *topology.Degraded, rID, toIdx int, seed uint64) (int, error) {
 	t := b.topo
 	idx := t.RouterIndex(rID)
 	direct := t.LocalRoute(idx, toIdx)
 	if b.sl != nil {
 		direct = b.sl.LocalRouteSeeded(idx, toIdx, seed)
 	}
-	if b.deg == nil || b.deg.Alive(rID, direct) {
+	if v == nil || v.Alive(rID, direct) {
 		return direct, nil
 	}
 	grp := t.RouterGroup(rID)
-	a := b.deg.RoutersPerGroup()
+	a := t.RoutersPerGroup()
 	start := int(sim.Mix(seed^0x94d049bb133111eb) % uint64(a))
 	for i := 0; i < a; i++ {
 		w := start + i
@@ -202,10 +140,10 @@ func (b *base) localPort(rID, toIdx int, seed uint64) (int, error) {
 			continue
 		}
 		first := t.LocalRoute(idx, w)
-		if !b.deg.Alive(rID, first) {
+		if !v.Alive(rID, first) {
 			continue
 		}
-		if !b.deg.Alive(t.GroupRouter(grp, w), t.LocalRoute(w, toIdx)) {
+		if !v.Alive(t.GroupRouter(grp, w), t.LocalRoute(w, toIdx)) {
 			continue
 		}
 		return first, nil
@@ -215,13 +153,13 @@ func (b *base) localPort(rID, toIdx int, seed uint64) (int, error) {
 
 // chooseSlot picks the global-channel slot from group cur to group tg,
 // deterministically per packet, uniformly among the parallel channels of
-// the pair — on a degraded topology, among the pair's surviving
-// channels (-1 when none survive). With an empty fault plan the live
-// slot list equals the full slot enumeration, so the choice is
-// bit-identical to the pristine one.
-func (b *base) chooseSlot(cur, tg int, seed uint64) int {
-	if b.deg != nil {
-		n := b.deg.LiveChannels(cur, tg)
+// the pair — under a fault view, among the pair's surviving channels
+// (-1 when none survive). With an all-alive view the live slot list
+// equals the full slot enumeration, so the choice is bit-identical to
+// the pristine one.
+func (b *base) chooseSlot(v *topology.Degraded, cur, tg int, seed uint64) int {
+	if v != nil {
+		n := v.LiveChannels(cur, tg)
 		if n == 0 {
 			return -1
 		}
@@ -229,7 +167,7 @@ func (b *base) chooseSlot(cur, tg int, seed uint64) int {
 		if n > 1 {
 			m = int(sim.Mix(seed+uint64(cur)*0x9e37) % uint64(n))
 		}
-		return b.deg.LiveGlobalSlot(cur, tg, m)
+		return v.LiveGlobalSlot(cur, tg, m)
 	}
 	n := b.topo.ChannelsBetween(cur, tg)
 	m := 0
@@ -240,9 +178,9 @@ func (b *base) chooseSlot(cur, tg int, seed uint64) int {
 }
 
 // NextHop resolves the packet's phase and target group, then computes
-// the hop request. It satisfies sim.Routing for every algorithm. On a
-// degraded topology it returns a *sim.UnroutableError when the fault
-// plan severed every channel the hop could use; the simulator drops the
+// the hop request. It satisfies sim.Routing for every algorithm. Under
+// a fault view it returns a *sim.UnroutableError when the faults
+// severed every channel the hop could use; the simulator drops the
 // packet and counts it.
 func (b *base) NextHop(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 	t := b.topo
@@ -265,7 +203,7 @@ func (b *base) NextHop(net *sim.Network, r *sim.Router, hs *sim.HopState) error 
 		hs.Phase1 = true
 		tg = t.RouterGroup(dstR)
 	}
-	port, vc, err := b.hop(r.ID, dstR, tg, hs.Phase1, hs.Seed)
+	port, vc, err := b.hop(net.View(), r.ID, dstR, tg, hs.Phase1, hs.Seed)
 	if err != nil {
 		return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
 	}
@@ -277,7 +215,7 @@ func (b *base) NextHop(net *sim.Network, r *sim.Router, hs *sim.HopState) error 
 // minimal path from rID to dstR using the packet's slot choice: the
 // intra-group hops to the global channel, the global channel, and the
 // intra-group hops inside the destination group.
-func (b *base) minimalHops(rID, dstR int, seed uint64) int {
+func (b *base) minimalHops(v *topology.Degraded, rID, dstR int, seed uint64) int {
 	if rID == dstR {
 		return 0
 	}
@@ -286,7 +224,7 @@ func (b *base) minimalHops(rID, dstR int, seed uint64) int {
 	if gs == gd {
 		return t.LocalHops(t.RouterIndex(rID), t.RouterIndex(dstR))
 	}
-	slot := b.chooseSlot(gs, gd, seed)
+	slot := b.chooseSlot(v, gs, gd, seed)
 	if slot < 0 {
 		return infeasibleHops // no surviving channel: never preferable
 	}
@@ -302,13 +240,13 @@ const infeasibleHops = 1 << 20
 // nonminimalHops returns H_nm: the channel count of the Valiant path
 // through intermediate group gi, following the same deterministic slot
 // choices NextHop will make.
-func (b *base) nonminimalHops(rID, dstR, gi int, seed uint64) int {
+func (b *base) nonminimalHops(v *topology.Degraded, rID, dstR, gi int, seed uint64) int {
 	t := b.topo
 	gs, gd := t.RouterGroup(rID), t.RouterGroup(dstR)
 	if gi == gs {
-		return b.minimalHops(rID, dstR, seed)
+		return b.minimalHops(v, rID, dstR, seed)
 	}
-	slot1 := b.chooseSlot(gs, gi, seed)
+	slot1 := b.chooseSlot(v, gs, gi, seed)
 	if slot1 < 0 {
 		return infeasibleHops
 	}
@@ -317,7 +255,7 @@ func (b *base) nonminimalHops(rID, dstR, gi int, seed uint64) int {
 	if gi == gd {
 		return hops + t.LocalHops(t.RouterIndex(rx), t.RouterIndex(dstR))
 	}
-	slot2 := b.chooseSlot(gi, gd, seed)
+	slot2 := b.chooseSlot(v, gi, gd, seed)
 	if slot2 < 0 {
 		return infeasibleHops
 	}
@@ -344,27 +282,27 @@ func (b *base) pickInterGroup(gs int, seed uint64) int {
 }
 
 // liveInter reports whether gi is a usable Valiant intermediate group
-// for traffic from gs to gd under the fault plan: distinct from the
+// for traffic from gs to gd under fault view v: distinct from the
 // source, reachable from it over a surviving global channel, and with a
 // surviving onward channel to the destination group (trivially true
 // when gi is the destination group itself).
-func (b *base) liveInter(gs, gd, gi int) bool {
-	return gi != gs && b.deg.LiveChannels(gs, gi) > 0 &&
-		(gi == gd || b.deg.LiveChannels(gi, gd) > 0)
+func (b *base) liveInter(v *topology.Degraded, gs, gd, gi int) bool {
+	return gi != gs && v.LiveChannels(gs, gi) > 0 &&
+		(gi == gd || v.LiveChannels(gi, gd) > 0)
 }
 
 // pickLiveInterGroup draws the Valiant intermediate group uniformly
-// among the groups still usable under the fault plan, deterministically
+// among the groups still usable under fault view v, deterministically
 // per packet. It uses the same seed mixing as pickInterGroup and
-// enumerates candidates in ascending group order, so with an empty
-// fault plan the draw is bit-identical to pickInterGroup. ok is false
+// enumerates candidates in ascending group order, so with an all-alive
+// view the draw is bit-identical to pickInterGroup. ok is false
 // when no usable intermediate group exists (single-group machine, or
 // the faults severed them all).
-func (b *base) pickLiveInterGroup(gs, gd int, seed uint64) (gi int, ok bool) {
+func (b *base) pickLiveInterGroup(v *topology.Degraded, gs, gd int, seed uint64) (gi int, ok bool) {
 	g := b.topo.Groups()
 	count := 0
 	for c := 0; c < g; c++ {
-		if b.liveInter(gs, gd, c) {
+		if b.liveInter(v, gs, gd, c) {
 			count++
 		}
 	}
@@ -373,7 +311,7 @@ func (b *base) pickLiveInterGroup(gs, gd int, seed uint64) (gi int, ok bool) {
 	}
 	want := int(sim.Mix(seed^0xd1b54a32d192ed03) % uint64(count))
 	for c := 0; c < g; c++ {
-		if !b.liveInter(gs, gd, c) {
+		if !b.liveInter(v, gs, gd, c) {
 			continue
 		}
 		if want == 0 {

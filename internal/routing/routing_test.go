@@ -209,7 +209,7 @@ func TestHopCountsMatchPaths(t *testing.T) {
 		src := int(srcRaw) % d.Nodes()
 		dst := int(dstRaw) % d.Nodes()
 		rs, rd := d.TerminalRouter(src), d.TerminalRouter(dst)
-		hm := base.minimalHops(rs, rd, seed)
+		hm := base.minimalHops(nil, rs, rd, seed)
 		if rs == rd {
 			return hm == 0
 		}
@@ -217,7 +217,7 @@ func TestHopCountsMatchPaths(t *testing.T) {
 		hops := 0
 		cur := rs
 		for cur != rd {
-			port, _, err := base.hop(cur, rd, d.RouterGroup(rd), true, seed)
+			port, _, err := base.hop(nil, cur, rd, d.RouterGroup(rd), true, seed)
 			if err != nil {
 				return false
 			}
@@ -248,7 +248,7 @@ func TestNonminimalHopsWithinBounds(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		h := b.nonminimalHops(src, dst, gi, seed)
+		h := b.nonminimalHops(nil, src, dst, gi, seed)
 		return h >= 1 && h <= 5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -290,8 +290,8 @@ func TestChooseSlotDeterministicPerPacket(t *testing.T) {
 	}
 	b := &base{topo: d}
 	for seed := uint64(0); seed < 200; seed++ {
-		a := b.chooseSlot(1, 3, seed)
-		if b.chooseSlot(1, 3, seed) != a {
+		a := b.chooseSlot(nil, 1, 3, seed)
+		if b.chooseSlot(nil, 1, 3, seed) != a {
 			t.Fatal("chooseSlot not deterministic")
 		}
 		if d.SlotTarget(1, a) != 3 {
@@ -312,7 +312,7 @@ func TestChooseSlotSpreadsOverParallelChannels(t *testing.T) {
 	}
 	counts := map[int]int{}
 	for s := uint64(0); s < 4000; s++ {
-		counts[b.chooseSlot(0, 1, sim.Mix(s))]++
+		counts[b.chooseSlot(nil, 0, 1, sim.Mix(s))]++
 	}
 	if len(counts) != n {
 		t.Errorf("slot choice covered %d of %d parallel channels", len(counts), n)

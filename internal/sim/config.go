@@ -5,7 +5,7 @@
 // warm-up → tagged-measurement → drain methodology of Dally & Towles.
 //
 // The simulator is topology-agnostic: it consumes the wiring table of a
-// topology.Graph and delegates every path decision to a Routing
+// topology.Machine and delegates every path decision to a Routing
 // implementation (internal/routing provides the paper's algorithms). It
 // also implements the paper's credit round-trip latency mechanism
 // (Section 4.3.2, Figure 17(b)): per-output credit-timestamp queues
@@ -14,11 +14,7 @@
 // stiffens backpressure without shrinking buffers.
 package sim
 
-import (
-	"fmt"
-
-	"dragonfly/internal/topology"
-)
+import "fmt"
 
 // Config parameterises a simulation.
 type Config struct {
@@ -148,26 +144,4 @@ type Traffic interface {
 	// terminal src. rand is a fresh 64-bit random value the pattern may
 	// use for randomized destinations.
 	Dest(src int, rand uint64) int
-}
-
-// Topology is the wiring view the simulator needs; *topology.Graph and
-// the concrete topologies embedding it satisfy it.
-type Topology interface {
-	Routers() int
-	Terminals() int
-	Radix(router int) int
-	Port(router, port int) topology.Port
-	TerminalRouter(terminal int) int
-	TerminalPort(terminal int) int
-}
-
-// DegradedTopology is the fault-aware wiring view (topology.Degraded
-// implements it): Alive reports whether the channel attached at
-// (router, port) can carry flits. When the topology handed to New
-// implements it, links whose either endpoint is dead carry no flits,
-// and terminals attached to dead ports neither inject nor count in the
-// throughput normalisation.
-type DegradedTopology interface {
-	Topology
-	Alive(router, port int) bool
 }

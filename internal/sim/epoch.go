@@ -7,11 +7,14 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// This file is the simulator half of the fault-timeline machinery: the
-// Network tracks a schedule of epochs (compiled by internal/fault into
-// immutable topology.Degraded views) and swaps the active view at event
-// cycles, reconciling the flow-control state so the run continues
-// seamlessly across the change.
+// This file is the simulator half of the fault machinery. The Network
+// is the one owner of fault state: it tracks a schedule of epochs
+// (compiled by internal/fault into immutable topology.Degraded views),
+// exposes the view in force through View — the routing algorithms read
+// it there on every query — and swaps it at event cycles, reconciling
+// the flow-control state so the run continues seamlessly across the
+// change. A standing fault set is a one-epoch schedule starting at
+// cycle 0; a pristine network has no schedule and a nil view.
 //
 // The swap happens at the start of the event cycle, before any flit or
 // credit delivery:
@@ -51,29 +54,13 @@ type Epoch struct {
 	View *topology.Degraded
 }
 
-// SwitchedTopology is the topology contract a fault timeline needs:
-// a degraded view the simulator (and the routing algorithm sharing the
-// same value) can swap between epochs. *topology.Switched implements
-// it.
-type SwitchedTopology interface {
-	DegradedTopology
-	// SetEpoch swaps the active fault view.
-	SetEpoch(*topology.Degraded)
-	// Epoch returns the active fault view.
-	Epoch() *topology.Degraded
-}
-
-// SetTimeline installs a compiled fault timeline. It must be called
-// before the first Step, on a network built over a SwitchedTopology
-// (so the routing algorithm observes the same epoch swaps). The first
-// epoch is applied immediately; subsequent epochs apply at the start
-// of their Start cycle, before any delivery.
+// SetTimeline installs a compiled fault schedule. It must be called
+// before the first Step, with views built over the network's own
+// machine. The first epoch is applied immediately; subsequent epochs
+// apply at the start of their Start cycle, before any delivery.
 func (n *Network) SetTimeline(epochs []Epoch) error {
 	if len(epochs) == 0 {
 		return fmt.Errorf("sim: SetTimeline with no epochs")
-	}
-	if _, ok := n.topo.(SwitchedTopology); !ok {
-		return fmt.Errorf("sim: topology %T cannot swap fault epochs (need a SwitchedTopology)", n.topo)
 	}
 	if n.now != 0 {
 		return fmt.Errorf("sim: SetTimeline after the simulation started (cycle %d)", n.now)
@@ -85,6 +72,9 @@ func (n *Network) SetTimeline(epochs []Epoch) error {
 		if e.View == nil {
 			return fmt.Errorf("sim: epoch %d has no view", i)
 		}
+		if e.View.Machine() != n.topo {
+			return fmt.Errorf("sim: epoch %d's view was built over a different machine", i)
+		}
 		if i > 0 && e.Start <= epochs[i-1].Start {
 			return fmt.Errorf("sim: epoch starts not strictly increasing (%d then %d)",
 				epochs[i-1].Start, e.Start)
@@ -94,9 +84,8 @@ func (n *Network) SetTimeline(epochs []Epoch) error {
 	n.epochIdx = 0
 	n.routerDead = make([]bool, len(n.routers))
 	// Adopt epoch 0. The network is empty before the first Step, so
-	// this only recomputes link and terminal liveness (there is nothing
-	// to kill or rescue yet) — including undoing any liveness New
-	// derived from a view pre-set on the switched topology.
+	// this only derives link and terminal liveness (there is nothing to
+	// kill or rescue yet).
 	return n.applyEpoch(epochs[0].View)
 }
 
@@ -131,8 +120,7 @@ func (n *Network) advanceEpochs() error {
 // applyEpoch reconciles the running network with a new fault view. See
 // the file comment for the semantics of each pass.
 func (n *Network) applyEpoch(v *topology.Degraded) error {
-	sw := n.topo.(SwitchedTopology)
-	sw.SetEpoch(v) // routing sees the new view from this instant
+	n.view = v // routing sees the new view from this instant
 
 	// Pass 1: routers that died lose their buffered packets and reset.
 	for r := range n.routers {

@@ -25,7 +25,7 @@ import (
 // the single-shard partition is the serial engine and runs entirely on
 // the calling goroutine. Results are bit-identical for any shard count.
 type Network struct {
-	topo    Topology
+	topo    topology.Machine
 	cfg     Config
 	routing Routing
 	traffic Traffic
@@ -55,20 +55,20 @@ type Network struct {
 	mainFns     []func()
 	wg          sync.WaitGroup
 
-	// Fault state, populated when the topology implements
-	// DegradedTopology: terminals attached to dead ports or dead routers
-	// neither inject nor count toward throughput normalisation, and
-	// dropped (per shard) counts packets abandoned because routing found
-	// no live path (errors wrapping ErrUnroutable).
+	// Terminal liveness under the fault view in force: terminals
+	// attached to dead ports or dead routers neither inject nor count
+	// toward throughput normalisation.
 	termAlive  []bool
 	aliveTerms int
 
-	// Timeline state (SetTimeline): the epoch schedule, the governing
-	// epoch index, per-router down flags for transition detection, the
+	// Fault state (SetTimeline): the epoch schedule, the governing epoch
+	// index and its view (nil on a pristine network, which has no
+	// schedule), per-router down flags for transition detection, the
 	// fault-kill and reroute counters, and the rescue scratch buffer.
 	// Epoch swaps always run serially on the coordinator.
 	epochs         []Epoch
 	epochIdx       int
+	view           *topology.Degraded
 	routerDead     []bool
 	killedInFlight int64
 	rerouted       int64
@@ -110,9 +110,10 @@ type Network struct {
 	OnEject func(p *Packet, now int64)
 }
 
-// New builds a network over topo with the given algorithm and traffic
-// pattern. The topology is not copied; it must not be mutated afterwards.
-func New(topo Topology, cfg Config, routing Routing, traffic Traffic) (*Network, error) {
+// New builds a pristine network over topo with the given algorithm and
+// traffic pattern; SetTimeline installs fault state. The topology is
+// not copied; it must not be mutated afterwards.
+func New(topo topology.Machine, cfg Config, routing Routing, traffic Traffic) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,21 +184,6 @@ func New(topo Topology, cfg Config, routing Routing, traffic Traffic) (*Network,
 		n.termAlive[t] = true
 	}
 	n.aliveTerms = topo.Terminals()
-	if deg, ok := topo.(DegradedTopology); ok {
-		for i := range n.links {
-			l := &n.links[i]
-			l.dead = !deg.Alive(l.src, l.srcPort)
-		}
-		for t := 0; t < topo.Terminals(); t++ {
-			if !deg.Alive(topo.TerminalRouter(t), topo.TerminalPort(t)) {
-				n.termAlive[t] = false
-				n.aliveTerms--
-			}
-		}
-		if n.aliveTerms == 0 {
-			return nil, fmt.Errorf("sim: fault plan leaves no live terminals")
-		}
-	}
 	n.buildShards(1)
 	return n, nil
 }
@@ -231,8 +217,13 @@ func (n *Network) Now() int64 { return n.now }
 // Config returns the simulation configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Topology returns the wiring the network was built over.
-func (n *Network) Topology() Topology { return n.topo }
+// Topology returns the machine the network was built over.
+func (n *Network) Topology() topology.Machine { return n.topo }
+
+// View returns the fault view of the epoch in force, nil on a pristine
+// network (no schedule installed). Routing reads it on every query, so
+// it sees an epoch swap the instant the network applies it.
+func (n *Network) View() *topology.Degraded { return n.view }
 
 // RouterAt returns the simulation state of router id. Routing algorithms
 // use it for remote (UGAL-G) or local congestion queries.
@@ -277,8 +268,8 @@ func (n *Network) SetSource(s Source) error {
 // resolved here, once: a collector subscribes to an event family by
 // implementing its interface. If c implements
 // metrics.LinkStateObserver, every currently-dead link is reported to
-// it immediately, so collectors see standing fault plans (and the
-// in-progress epoch of a timeline) without waiting for the next
+// it immediately, so collectors see the faults of the epoch in force
+// (standing cycle-0 faults included) without waiting for the next
 // transition.
 func (n *Network) AttachMetrics(c metrics.Collector) (prev metrics.Collector) {
 	prev = n.mc
@@ -335,11 +326,11 @@ func (n *Network) LinkIsGlobal(link int) bool { return n.links[link].global }
 func (n *Network) InFlight() int { return n.totalInFlight() }
 
 // Dropped returns the number of packets abandoned because routing found
-// no live path (fault plans only; always 0 on a pristine topology).
+// no live path (fault schedules only; always 0 on a pristine network).
 func (n *Network) Dropped() int64 { return n.totalDropped() }
 
 // AliveTerminals returns the number of terminals that can inject and
-// eject under the current fault plan.
+// eject under the fault view in force.
 func (n *Network) AliveTerminals() int { return n.aliveTerms }
 
 // loadHop fills the shard's routing scratch from arena slot ref.
@@ -445,9 +436,9 @@ func (n *Network) deliver(sh *shard) error {
 		l := &n.links[sl.id]
 		if l.dead {
 			// A dead channel delivers nothing in either direction: its
-			// queues are frozen until a revival retrains them. (Static
-			// fault plans never queue anything on a dead link, so this
-			// skip changes nothing for them.)
+			// queues are frozen until a revival retrains them. (Links
+			// dead from cycle 0 never queue anything, so this skip
+			// changes nothing for them.)
 			continue
 		}
 		if sl.flit {
@@ -835,10 +826,8 @@ func (n *Network) stallError(phase Phase, limit int64) *StallError {
 	// Attach the fault context: a stall right after an epoch swap is
 	// usually livelock against the dead channels, and the per-class dead
 	// counts say which.
-	if n.epochs != nil {
-		e.DeadRouters, e.DeadGlobal, e.DeadLocal, e.DeadTerminal = n.epochs[n.epochIdx].View.FaultCounts()
-	} else if fc, ok := n.topo.(interface{ FaultCounts() (int, int, int, int) }); ok {
-		e.DeadRouters, e.DeadGlobal, e.DeadLocal, e.DeadTerminal = fc.FaultCounts()
+	if n.view != nil {
+		e.DeadRouters, e.DeadGlobal, e.DeadLocal, e.DeadTerminal = n.view.FaultCounts()
 	}
 	for i := range n.routers {
 		r := &n.routers[i]

@@ -111,7 +111,7 @@ type Router struct {
 // pv maps (port, vc) to the index of the flat per-(port, VC) slices.
 func (r *Router) pv(port, vc int) int { return port*r.vcs + vc }
 
-func (r *Router) init(id int, topo Topology, cfg Config) {
+func (r *Router) init(id int, topo topology.Machine, cfg Config) {
 	radix := topo.Radix(id)
 	out := cfg.OutDepth
 	if out == 0 {

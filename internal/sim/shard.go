@@ -111,7 +111,6 @@ type evRec struct {
 type shard struct {
 	idx    int
 	r0, r1 int     // owned routers: [r0, r1)
-	g0, g1 int     // owned groups: [g0, g1), -1 when ungrouped
 	terms  []int32 // owned terminals, ascending
 
 	linkOrder []shardLink
@@ -142,23 +141,12 @@ type shard struct {
 	err error
 }
 
-// groupedTopology is the optional structural view that lets the
-// partition align with group boundaries; every dragonfly view
-// (pristine, Degraded, Switched) implements it by embedding. Group
-// alignment matters for UGAL-G, whose congestion oracle reads sibling
-// routers of the packet's source group.
-type groupedTopology interface {
-	Groups() int
-	RouterGroup(router int) int
-}
-
 // Shards returns the number of engine shards (1 = serial engine).
 func (n *Network) Shards() int { return len(n.shards) }
 
 // SetShards repartitions the network across k engine shards. It must be
-// called before the first Step; k is clamped to the group count (or the
-// router count for ungrouped topologies), and 0 or 1 selects the serial
-// engine. Results are bit-identical for every k.
+// called before the first Step; k is clamped to the group count, and 0
+// or 1 selects the serial engine. Results are bit-identical for every k.
 func (n *Network) SetShards(k int) error {
 	if k < 0 {
 		return &ConfigError{Param: "Shards", Value: fmt.Sprint(k), Reason: "shard count must be >= 0 (0 runs the serial engine)"}
@@ -171,51 +159,32 @@ func (n *Network) SetShards(k int) error {
 }
 
 // buildShards computes the partition and the per-shard state for k
-// shards (clamped; minimum 1).
+// shards (clamped; minimum 1). Shards own whole groups: group alignment
+// matters for UGAL-G, whose congestion oracle reads sibling routers of
+// the packet's source group.
 func (n *Network) buildShards(k int) {
 	nR := len(n.routers)
+	g := n.topo.Groups()
 	if k < 1 {
 		k = 1
 	}
-	if k > nR {
-		k = nR
+	if k > g {
+		k = g
 	}
-	grouped, isGrouped := n.topo.(groupedTopology)
-	var groupShard []int32
-	if isGrouped {
-		g := grouped.Groups()
-		if k > g {
-			k = g
-		}
-		groupShard = make([]int32, g)
-		for s := 0; s < k; s++ {
-			for gi := s * g / k; gi < (s+1)*g/k; gi++ {
-				groupShard[gi] = int32(s)
-			}
+	groupShard := make([]int32, g)
+	for s := 0; s < k; s++ {
+		for gi := s * g / k; gi < (s+1)*g/k; gi++ {
+			groupShard[gi] = int32(s)
 		}
 	}
 	n.routerShard = make([]int32, nR)
-	if isGrouped {
-		for r := 0; r < nR; r++ {
-			n.routerShard[r] = groupShard[grouped.RouterGroup(r)]
-		}
-	} else {
-		// Ungrouped fallback: contiguous router ranges.
-		for s := 0; s < k; s++ {
-			for r := s * nR / k; r < (s+1)*nR/k; r++ {
-				n.routerShard[r] = int32(s)
-			}
-		}
+	for r := 0; r < nR; r++ {
+		n.routerShard[r] = groupShard[n.topo.RouterGroup(r)]
 	}
 	n.shards = make([]shard, k)
 	for s := range n.shards {
 		sh := &n.shards[s]
 		sh.idx = s
-		sh.g0, sh.g1 = -1, -1
-		if isGrouped {
-			g := grouped.Groups()
-			sh.g0, sh.g1 = s*g/k, (s+1)*g/k
-		}
 		sh.r0, sh.r1 = -1, -1
 		sh.flitOut = make([][]flitXfer, k)
 		sh.credOut = make([][]credXfer, k)
@@ -226,8 +195,8 @@ func (n *Network) buildShards(k int) {
 			sh.r0 = r
 		} else if r != sh.r1 {
 			// The walk below assumes each shard's routers are contiguous
-			// and ascending; grouped topologies number routers
-			// group-major, so this cannot trip. Guard it anyway.
+			// and ascending; every Machine numbers routers group-major,
+			// so this cannot trip. Guard it anyway.
 			panic("sim: shard router range not contiguous")
 		}
 		sh.r1 = r + 1

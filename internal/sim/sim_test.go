@@ -562,3 +562,33 @@ func TestMetricsRunThenPlainRunBitIdentical(t *testing.T) {
 			withUtil.Cycles, plain.Cycles)
 	}
 }
+
+// TestSetTimelineRejectsForeignView: a fault view built over another
+// machine — even an identically parameterised one — is refused with an
+// error, leaving the network pristine; a view of the network's own
+// machine installs and becomes the view routing reads.
+func TestSetTimelineRejectsForeignView(t *testing.T) {
+	d := testDragonfly(t)
+	other := testDragonfly(t)
+	net := newNet(t, d, testConfig(), routing.NewMIN(d), traffic.NewUniformRandom(d.Nodes()))
+	if net.View() != nil {
+		t.Fatal("pristine network reports a fault view")
+	}
+	foreign := topology.NewDegraded(other, nil)
+	if err := net.SetTimeline([]sim.Epoch{{Start: 0, View: foreign}}); err == nil {
+		t.Fatal("SetTimeline accepted a view of a different machine")
+	}
+	if net.View() != nil {
+		t.Error("a refused schedule left a fault view installed")
+	}
+	own := topology.NewDegraded(d, nil)
+	if err := net.SetTimeline([]sim.Epoch{{Start: 0, View: own}, {Start: 10, View: foreign}}); err == nil {
+		t.Fatal("SetTimeline accepted a later epoch over a different machine")
+	}
+	if err := net.SetTimeline([]sim.Epoch{{Start: 0, View: own}}); err != nil {
+		t.Fatalf("SetTimeline with the network's own machine: %v", err)
+	}
+	if net.View() != own {
+		t.Error("View() does not return the installed epoch's view")
+	}
+}

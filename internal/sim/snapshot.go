@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"dragonfly/internal/stats"
+	"dragonfly/internal/topology"
 )
 
 // Snapshot/Restore: the dfly-snap/1 versioned binary encoding of the
@@ -42,12 +43,12 @@ import (
 //	CRC-32C over everything above               u32
 //
 // The fingerprint is an FNV-64a hash of everything a snapshot is only
-// meaningful relative to: the Config, the full link
-// wiring, the terminal attachment, the routing and traffic names, and
-// the fault liveness (the static plan's, or every epoch of the
-// timeline). Restore refuses a snapshot whose fingerprint differs from
-// the target network's — restoring onto the wrong machine is a typed
-// error, not a corrupt simulation.
+// meaningful relative to: the Config, the full link wiring, the
+// terminal attachment, the routing and traffic names, and the fault
+// liveness (every epoch of the installed schedule). Restore refuses a
+// snapshot whose fingerprint differs from the target network's —
+// restoring onto the wrong machine is a typed error, not a corrupt
+// simulation.
 
 // snapMagic opens every dfly-snap/1 snapshot. A different version
 // string is a decode error by construction: there is no cross-version
@@ -215,28 +216,18 @@ func (n *Network) fingerprint() uint64 {
 	}
 	// Fault liveness must hash identically on the snapshotting network
 	// (mid-run, mutable link state) and on a fresh restore target, so it
-	// is read from the topology views, never from link.dead: a timeline
-	// contributes every epoch's view, a static plan its standing one.
-	switch {
-	case n.epochs != nil:
-		put(uint64(len(n.epochs)))
-		for i := range n.epochs {
-			put(uint64(n.epochs[i].Start))
-			n.hashLiveness(h, n.epochs[i].View)
-		}
-	default:
-		if deg, ok := n.topo.(DegradedTopology); ok {
-			put(1)
-			n.hashLiveness(h, deg)
-		} else {
-			put(0)
-		}
+	// is read from every epoch's view, never from link.dead. A pristine
+	// network has no epochs.
+	put(uint64(len(n.epochs)))
+	for i := range n.epochs {
+		put(uint64(n.epochs[i].Start))
+		n.hashLiveness(h, n.epochs[i].View)
 	}
 	return h.Sum64()
 }
 
 // hashLiveness folds one fault view's link and terminal liveness into h.
-func (n *Network) hashLiveness(h hash.Hash64, v interface{ Alive(router, port int) bool }) {
+func (n *Network) hashLiveness(h hash.Hash64, v *topology.Degraded) {
 	var chunk [512]byte
 	k := 0
 	emit := func(a bool) {
@@ -384,7 +375,7 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 		// Adopt the governing epoch's view directly — liveness state is
 		// restored field by field below, so the kill/rescue reconciliation
 		// of applyEpoch must not run.
-		n.topo.(SwitchedTopology).SetEpoch(n.epochs[epochIdx].View)
+		n.view = n.epochs[epochIdx].View
 		n.epochIdx = epochIdx
 	} else if epochIdx != 0 {
 		d.fail("snapshot is mid-timeline (epoch %d) but this network has none", epochIdx)

@@ -15,9 +15,7 @@ import (
 
 // conformanceMachines returns one modest instance per registered
 // family, built through the registry (so the Build path itself is
-// under test), plus a fault-wrapped Degraded view of the canonical
-// dragonfly with an empty plan (which must answer every structural
-// query like the pristine machine).
+// under test).
 func conformanceMachines(t *testing.T) map[string]Machine {
 	t.Helper()
 	specs := map[string]map[string]int{
@@ -35,20 +33,8 @@ func conformanceMachines(t *testing.T) map[string]Machine {
 		}
 		out[fam] = m
 	}
-	d, err := NewDragonfly(2, 4, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["degraded(empty plan)"] = NewDegraded(d, emptyFaultView{})
 	return out
 }
-
-// emptyFaultView is the all-alive FaultView: wrapping with it must not
-// change any structural answer.
-type emptyFaultView struct{}
-
-func (emptyFaultView) RouterDown(int) bool  { return false }
-func (emptyFaultView) PortDown(int, int) bool { return false }
 
 func TestConformance(t *testing.T) {
 	for name, m := range conformanceMachines(t) {
@@ -310,9 +296,6 @@ func graphOf(m Machine) (*Graph, bool) {
 		return v.Graph, true
 	case *Aries:
 		return v.Graph, true
-	case *Degraded:
-		g, ok := graphOf(v.Machine)
-		return g, ok
 	}
 	return nil, false
 }

@@ -13,18 +13,18 @@ type FaultView interface {
 	PortDown(r, port int) bool
 }
 
-// Degraded is a fault-aware view over any Machine: the pristine wiring
-// table plus precomputed liveness of every port, the surviving global
-// channels of every group pair, and group-level reachability over live
-// global channels. It implements the same structural interface as the
-// underlying machine (by embedding), so routing algorithms and the
-// simulator can consume it in place of the pristine topology; both
-// detect the degradation through the Alive method.
+// Degraded is the liveness of one fault scenario over a Machine:
+// precomputed liveness of every port and terminal, and the surviving
+// global channels of every group pair. It answers liveness queries
+// only; the wiring stays with the machine, which the view holds but
+// does not impersonate, so a fault view cannot stand in for a machine.
+// The simulator owns the view of the epoch in force and hands it to
+// routing with every query.
 //
-// The view is immutable once built, like the Graph it wraps: one
-// Degraded corresponds to one fault scenario.
+// The view is immutable once built: one Degraded corresponds to one
+// fault scenario and may be shared by any number of simulations.
 type Degraded struct {
-	Machine
+	m Machine
 
 	portDead   [][]bool // [router][port], true when either channel end is down
 	routerDown []bool
@@ -36,7 +36,6 @@ type Degraded struct {
 	// GlobalSlot enumerates them — so an empty fault plan makes
 	// LiveGlobalSlot(grp, dst, m) == GlobalSlot(grp, dst, m) exactly.
 	liveSlots [][][]int
-	reach     [][]bool // group-level reachability over live global channels
 	connected bool
 
 	deadRouters, deadGlobal, deadLocal, deadTerm int
@@ -45,7 +44,7 @@ type Degraded struct {
 // NewDegraded builds the degraded view of d under fault plan fv. A nil
 // fv yields a fully alive view (useful for uniform call sites).
 func NewDegraded(d Machine, fv FaultView) *Degraded {
-	dg := &Degraded{Machine: d}
+	dg := &Degraded{m: d}
 	n := d.Routers()
 	dg.routerDown = make([]bool, n)
 	dg.portDead = make([][]bool, n)
@@ -90,7 +89,6 @@ func NewDegraded(d Machine, fv FaultView) *Degraded {
 		}
 	}
 	dg.buildLiveSlots()
-	dg.buildReachability()
 	dg.connected = dg.computeConnected()
 	return dg
 }
@@ -98,7 +96,7 @@ func NewDegraded(d Machine, fv FaultView) *Degraded {
 // buildLiveSlots enumerates, per ordered group pair, the global-channel
 // slots whose channel survived, in ascending slot order.
 func (dg *Degraded) buildLiveSlots() {
-	d := dg.Machine
+	d := dg.m
 	g := d.Groups()
 	dg.liveSlots = make([][][]int, g)
 	for ga := 0; ga < g; ga++ {
@@ -121,36 +119,13 @@ func (dg *Degraded) buildLiveSlots() {
 	}
 }
 
-// buildReachability runs one BFS per group over the group graph whose
-// edges are pairs with at least one live global channel.
-func (dg *Degraded) buildReachability() {
-	g := dg.Groups()
-	dg.reach = make([][]bool, g)
-	for src := 0; src < g; src++ {
-		seen := make([]bool, g)
-		seen[src] = true
-		queue := []int{src}
-		for len(queue) > 0 {
-			ga := queue[0]
-			queue = queue[1:]
-			for gb := 0; gb < g; gb++ {
-				if !seen[gb] && len(dg.liveSlots[ga][gb]) > 0 {
-					seen[gb] = true
-					queue = append(queue, gb)
-				}
-			}
-		}
-		dg.reach[src] = seen
-	}
-}
-
 // computeConnected reports whether every live router can reach every
 // other live router over live channels (router-level BFS). It is an
 // upper bound on what the routing algorithms — restricted to minimal
 // paths and single-detour Valiant paths — can actually use, but a
 // disconnected report is definitive: some traffic must drop.
 func (dg *Degraded) computeConnected() bool {
-	n := dg.Routers()
+	n := dg.m.Routers()
 	start := -1
 	for r := 0; r < n; r++ {
 		if !dg.routerDown[r] {
@@ -168,8 +143,8 @@ func (dg *Degraded) computeConnected() bool {
 	for len(queue) > 0 {
 		r := queue[0]
 		queue = queue[1:]
-		for p := 0; p < dg.Radix(r); p++ {
-			pt := dg.Port(r, p)
+		for p := 0; p < dg.m.Radix(r); p++ {
+			pt := dg.m.Port(r, p)
 			if pt.Class == ClassTerminal || dg.portDead[r][p] || seen[pt.PeerRouter] {
 				continue
 			}
@@ -186,9 +161,11 @@ func (dg *Degraded) computeConnected() bool {
 	return count > 0
 }
 
+// Machine returns the machine the view was built over.
+func (dg *Degraded) Machine() Machine { return dg.m }
+
 // Alive reports whether the channel attached at (router, port) can carry
-// flits: neither side's port nor router has failed. It implements
-// sim.DegradedTopology.
+// flits: neither side's port nor router has failed.
 func (dg *Degraded) Alive(router, port int) bool { return !dg.portDead[router][port] }
 
 // RouterDown reports that router r failed entirely.
@@ -225,10 +202,6 @@ func (dg *Degraded) LiveGlobalSlot(grp, dst, m int) int {
 	return live[m%len(live)]
 }
 
-// GroupsReachable reports whether group gb can be reached from group ga
-// over live global channels (any number of group hops).
-func (dg *Degraded) GroupsReachable(ga, gb int) bool { return dg.reach[ga][gb] }
-
 // Connected reports whether all live routers form one component over
 // live channels. A false report guarantees drops; a true report still
 // permits drops if the surviving paths fall outside the routing
@@ -240,15 +213,4 @@ func (dg *Degraded) Connected() bool { return dg.connected }
 // counts once; channels of failed routers are included).
 func (dg *Degraded) FaultCounts() (routers, global, local, terminal int) {
 	return dg.deadRouters, dg.deadGlobal, dg.deadLocal, dg.deadTerm
-}
-
-// LocalRouteSeeded forwards the optional bundle-spreading capability
-// (SeededLocal) of the wrapped machine; for machines without it, it is
-// exactly LocalRoute, so the routing layer may use it unconditionally
-// on a degraded view without changing behaviour.
-func (dg *Degraded) LocalRouteSeeded(from, to int, seed uint64) int {
-	if s, ok := dg.Machine.(SeededLocal); ok {
-		return s.LocalRouteSeeded(from, to, seed)
-	}
-	return dg.LocalRoute(from, to)
 }

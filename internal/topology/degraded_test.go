@@ -59,9 +59,6 @@ func TestDegradedEmptyPlanIsPristine(t *testing.T) {
 					t.Fatalf("LiveGlobalSlot(%d,%d,%d) = %d, want GlobalSlot %d", ga, gb, m, got, want)
 				}
 			}
-			if !dg.GroupsReachable(ga, gb) {
-				t.Fatalf("groups %d,%d unreachable under empty plan", ga, gb)
-			}
 		}
 	}
 }
@@ -132,7 +129,7 @@ func TestDegradedRouterDownKillsEverything(t *testing.T) {
 func TestDegradedDisconnection(t *testing.T) {
 	d := degTestDF(t)
 	// Cut every global channel of group 0: its routers survive but the
-	// group is unreachable, so reachability and Connected must say so.
+	// group is unreachable, so the live slots and Connected must say so.
 	ports := map[[2]int]bool{}
 	for idx := 0; idx < d.A; idx++ {
 		r := d.GroupRouter(0, idx)
@@ -144,9 +141,6 @@ func TestDegradedDisconnection(t *testing.T) {
 	}
 	dg := NewDegraded(d, fakeFault{ports: ports})
 	for gb := 1; gb < d.G; gb++ {
-		if dg.GroupsReachable(0, gb) {
-			t.Errorf("group 0 still reaches group %d with all its cables cut", gb)
-		}
 		if dg.LiveChannels(0, gb) != 0 {
 			t.Errorf("LiveChannels(0,%d) = %d, want 0", gb, dg.LiveChannels(0, gb))
 		}
@@ -154,8 +148,8 @@ func TestDegradedDisconnection(t *testing.T) {
 			t.Errorf("LiveGlobalSlot(0,%d,0) != -1", gb)
 		}
 	}
-	if !dg.GroupsReachable(1, 2) {
-		t.Error("isolating group 0 broke reachability between other groups")
+	if dg.LiveChannels(1, 2) != d.ChannelsBetween(1, 2) {
+		t.Error("isolating group 0 cut channels between other groups")
 	}
 	if dg.Connected() {
 		t.Error("Connected() true with group 0 fully cut off")

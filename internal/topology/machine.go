@@ -27,10 +27,9 @@ import (
 //     tests.
 //
 // *Dragonfly, *DragonflyFB, *DragonflyPlus, *Swapped and *Aries all
-// implement it; *Degraded and *Switched wrap any Machine with fault
-// awareness. The interface is defined here (not in internal/routing)
-// so the dependency arrow keeps pointing outward: routing's Topo is a
-// structural subset of Machine.
+// implement it, and it is the one wiring interface the engine, the
+// routing algorithms and the fault planner consume. Fault state is not
+// a Machine: a *Degraded view answers liveness queries beside it.
 type Machine interface {
 	// Wiring view (the embedded Graph provides these).
 	Routers() int
@@ -79,9 +78,8 @@ type Machine interface {
 // parallel local links between router pairs (e.g. Aries' bundled
 // inter-chassis cables): LocalRouteSeeded is LocalRoute with a
 // deterministic per-packet spread over the bundle. The routing layer
-// detects it by type assertion; Degraded and Switched forward it, so
-// the capability survives fault wrapping. Machines without parallel
-// local links simply don't implement it.
+// detects it by type assertion once, when an algorithm is built.
+// Machines without parallel local links simply don't implement it.
 type SeededLocal interface {
 	LocalRouteSeeded(from, to int, seed uint64) int
 }
