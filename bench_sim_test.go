@@ -9,9 +9,12 @@ package dragonfly_test
 // the engine the way a real sweep pays them).
 //
 // After the run, TestMain writes the records to BENCH_sim.json (next to
-// this file), preserving the checked-in "baseline" section, which holds
-// the pre-arena pointer-heap engine's numbers for the same scenarios.
-// See PERFORMANCE.md for how to run and read it.
+// this file), stamped with the host's CPU model, core count and Go
+// version. The file's previous top-level run moves to its "previous"
+// section, so two runs on one host (older tree first) leave their rows
+// side by side; the checked-in "baseline" section, which holds the
+// pre-arena pointer-heap engine's numbers for the same scenarios, is
+// preserved. See PERFORMANCE.md for how to run and read it.
 //
 //	go test -bench=Sim -benchtime=100000x -run='^$' .
 //
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -42,12 +46,22 @@ type simBenchRecord struct {
 	InFlightAtEnd int     `json:"in_flight_at_end"`
 }
 
+// simHost identifies the machine a run was measured on.
+type simHost struct {
+	CPU   string `json:"cpu"`
+	Cores int    `json:"cores"`
+	Go    string `json:"go"`
+}
+
 // simBenchFile is the BENCH_sim.json schema: the current engine's
-// numbers plus the frozen pre-refactor baseline for comparison.
+// numbers, the run before it and the frozen pre-refactor baseline for
+// comparison.
 type simBenchFile struct {
 	Engine    string           `json:"engine"`
 	Note      string           `json:"note,omitempty"`
+	Host      *simHost         `json:"host,omitempty"`
 	Scenarios []simBenchRecord `json:"scenarios"`
+	Previous  *simBenchFile    `json:"previous,omitempty"`
 	Baseline  *simBenchFile    `json:"baseline,omitempty"`
 	// ScaleDemo holds the hand-recorded paper-scale measurements (the
 	// 40K- and 256K-node runs documented in PERFORMANCE.md and
@@ -192,9 +206,26 @@ func BenchmarkSimCycle(b *testing.B) {
 	}
 }
 
-// writeSimBench persists the collected records to BENCH_sim.json,
-// carrying the existing file's baseline section forward (or demoting a
-// previous engine's numbers to the baseline slot if none is recorded).
+// benchHost reads the CPU model (the first "model name" line of
+// /proc/cpuinfo; "unknown" where there is none), the core count and the
+// Go version.
+func benchHost() *simHost {
+	h := &simHost{CPU: "unknown", Cores: runtime.NumCPU(), Go: runtime.Version()}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
+// writeSimBench persists the collected records to BENCH_sim.json. The
+// existing file's top-level run becomes the "previous" section, and its
+// baseline section is carried forward (or, if none is recorded, a
+// previous engine's numbers are demoted to the baseline slot).
 func writeSimBench() {
 	if len(simBenchRecords) == 0 {
 		return
@@ -222,8 +253,9 @@ func writeSimBench() {
 		scenarios = append(scenarios, rec)
 	}
 	out := simBenchFile{
-		Engine:    "arena",
+		Engine:    "arena, activity-driven",
 		Note:      "one op = one Network.Step on a cold network; see PERFORMANCE.md",
+		Host:      benchHost(),
 		Scenarios: scenarios,
 	}
 	if prev, err := os.ReadFile(path); err == nil {
@@ -234,7 +266,11 @@ func writeSimBench() {
 				out.Baseline = old.Baseline
 			} else if len(old.Scenarios) > 0 && old.Engine != out.Engine {
 				old2 := old
+				old2.Previous = nil
 				out.Baseline = &old2
+			}
+			if len(old.Scenarios) > 0 {
+				out.Previous = &simBenchFile{Engine: old.Engine, Note: old.Note, Host: old.Host, Scenarios: old.Scenarios}
 			}
 		}
 	}

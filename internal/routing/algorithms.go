@@ -52,7 +52,7 @@ func (b *base) decideWithFaults(v *topology.Degraded, r *sim.Router, hs *sim.Hop
 		return nil
 	}
 	gi, ok := b.pickLiveInterGroup(v, gs, gd, hs.Seed)
-	if ok && gi != gs {
+	if ok {
 		hs.Minimal = false
 		hs.InterGroup = gi
 		return nil

@@ -281,43 +281,13 @@ func (b *base) pickInterGroup(gs int, seed uint64) int {
 	return gi
 }
 
-// liveInter reports whether gi is a usable Valiant intermediate group
-// for traffic from gs to gd under fault view v: distinct from the
-// source, reachable from it over a surviving global channel, and with a
-// surviving onward channel to the destination group (trivially true
-// when gi is the destination group itself).
-func (b *base) liveInter(v *topology.Degraded, gs, gd, gi int) bool {
-	return gi != gs && v.LiveChannels(gs, gi) > 0 &&
-		(gi == gd || v.LiveChannels(gi, gd) > 0)
-}
-
 // pickLiveInterGroup draws the Valiant intermediate group uniformly
 // among the groups still usable under fault view v, deterministically
-// per packet. It uses the same seed mixing as pickInterGroup and
-// enumerates candidates in ascending group order, so with an all-alive
-// view the draw is bit-identical to pickInterGroup. ok is false
-// when no usable intermediate group exists (single-group machine, or
-// the faults severed them all).
+// per packet (topology.Degraded.LiveInterGroup). It uses the same seed
+// mixing as pickInterGroup and the candidates are numbered in ascending
+// group order, so with an all-alive view the draw is bit-identical to
+// pickInterGroup. ok is false when no usable intermediate group exists
+// (single-group machine, or the faults severed them all).
 func (b *base) pickLiveInterGroup(v *topology.Degraded, gs, gd int, seed uint64) (gi int, ok bool) {
-	g := b.topo.Groups()
-	count := 0
-	for c := 0; c < g; c++ {
-		if b.liveInter(v, gs, gd, c) {
-			count++
-		}
-	}
-	if count == 0 {
-		return gs, false
-	}
-	want := int(sim.Mix(seed^0xd1b54a32d192ed03) % uint64(count))
-	for c := 0; c < g; c++ {
-		if !b.liveInter(v, gs, gd, c) {
-			continue
-		}
-		if want == 0 {
-			return c, true
-		}
-		want--
-	}
-	return gs, false // unreachable: count bounded want
+	return v.LiveInterGroup(gs, gd, sim.Mix(seed^0xd1b54a32d192ed03))
 }

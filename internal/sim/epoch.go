@@ -191,6 +191,10 @@ func (n *Network) applyEpoch(v *topology.Degraded) error {
 		return fmt.Errorf("sim: epoch at cycle %d leaves no live terminals", n.now)
 	}
 
+	// The passes above rewrote queues and link liveness wholesale;
+	// recompute the activity masks from them.
+	n.rebuildActivity()
+
 	// The event reshaped the network; give the stall watchdog a fresh
 	// horizon to observe the reconfigured state.
 	n.touchLastMove()

@@ -184,6 +184,7 @@ func New(topo topology.Machine, cfg Config, routing Routing, traffic Traffic) (*
 		n.termAlive[t] = true
 	}
 	n.aliveTerms = topo.Terminals()
+	n.initActivity()
 	n.buildShards(1)
 	return n, nil
 }
@@ -420,6 +421,11 @@ func (n *Network) Step() error {
 	for i := range n.shards {
 		n.replayShard(&n.shards[i])
 	}
+	if arenaDebug {
+		if err := n.checkActivity(); err != nil {
+			return err
+		}
+	}
 	if n.mcCycle != nil {
 		n.mcCycle.CycleEnd(n.now)
 	}
@@ -427,21 +433,21 @@ func (n *Network) Step() error {
 }
 
 // deliver moves flits and credits whose latency elapsed into their
-// destination routers, walking the shard's links in ascending id order
-// (single-shard: all links, both sides — the serial order). Delivered
+// destination routers, walking the shard's active links in ascending id
+// order (single-shard: all links, both sides — the serial order). A
+// shard pops the flits of the links whose destination router it owns
+// and the credits of the links whose source router it owns. Delivered
 // flits are routed immediately and placed in the virtual output queue
 // of their next hop.
 func (n *Network) deliver(sh *shard) error {
-	for _, sl := range sh.linkOrder {
-		l := &n.links[sl.id]
-		if l.dead {
-			// A dead channel delivers nothing in either direction: its
-			// queues are frozen until a revival retrains them. (Links
-			// dead from cycle 0 never queue anything, so this skip
-			// changes nothing for them.)
-			continue
-		}
-		if sl.flit {
+	for li := nextSet(sh.linkAct, 0); li >= 0; li = nextSet(sh.linkAct, li+1) {
+		// A set bit means a live link: a dead channel delivers nothing
+		// in either direction, so its frozen queues are never marked
+		// (markLink, rebuildActivity) until a revival retrains them.
+		l := &n.links[li]
+		flit := l.dst >= sh.r0 && l.dst < sh.r1
+		cred := l.src >= sh.r0 && l.src < sh.r1
+		if flit {
 			for {
 				f := l.flits.peek()
 				if f == nil || f.at > n.now {
@@ -470,10 +476,10 @@ func (n *Network) deliver(sh *shard) error {
 					}
 					return err
 				}
-				rt.waitQ[rt.pv(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref]))].push(ref)
+				rt.pushWait(rt.pv(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref])), ref)
 			}
 		}
-		if sl.cred {
+		if cred {
 			for {
 				c := l.credits.peek()
 				if c == nil || c.at > n.now {
@@ -502,6 +508,9 @@ func (n *Network) deliver(sh *shard) error {
 					rt.td[l.srcPort] = ewma(rt.td[l.srcPort], td)
 				}
 			}
+		}
+		if (!flit || l.flits.len() == 0) && (!cred || l.credits.len() == 0) {
+			clearBit(sh.linkAct, li)
 		}
 	}
 	return nil
@@ -573,7 +582,7 @@ func (n *Network) inject(sh *shard) {
 			sh.injectedWindow++
 		}
 		rt := &n.routers[n.topo.TerminalRouter(t)]
-		rt.srcQ[n.topo.TerminalPort(t)].push(ref)
+		rt.pushSrc(n.topo.TerminalPort(t), ref)
 	}
 }
 
@@ -583,15 +592,11 @@ func (n *Network) inject(sh *shard) {
 // moment. Admission requires a free input slot, so source queues feel
 // the router's backpressure like any upstream channel.
 func (n *Network) admitSources(sh *shard, r *Router) error {
-	for p := 0; p < r.radix; p++ {
-		if !r.isTerm[p] {
+	for p := nextSet(r.srcM, 0); p >= 0; p = nextSet(r.srcM, p+1) {
+		if r.inOcc[r.pv(p, 0)] >= int32(r.depth) {
 			continue
 		}
-		head := r.srcQ[p].peek()
-		if head == nilRef || r.inOcc[r.pv(p, 0)] >= int32(r.depth) {
-			continue
-		}
-		r.srcQ[p].pop()
+		head := r.popSrc(p)
 		r.inOcc[r.pv(p, 0)]++
 		sh.ar.inPort[head] = int16(p)
 		sh.ar.bufVC[head] = 0
@@ -615,7 +620,7 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 			}
 			return err
 		}
-		r.waitQ[r.pv(int(sh.ar.nextPort[head]), int(sh.ar.nextVC[head]))].push(head)
+		r.pushWait(r.pv(int(sh.ar.nextPort[head]), int(sh.ar.nextVC[head])), head)
 	}
 	return nil
 }
@@ -627,30 +632,26 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 // is buffered and replayed — in router order — at the end-of-cycle
 // fold.
 func (n *Network) eject(sh *shard, r *Router) {
-	for p := 0; p < r.radix; p++ {
-		if !r.isTerm[p] {
-			continue
-		}
-		for vc := 0; vc < r.vcs; vc++ {
-			q := &r.waitQ[r.pv(p, vc)]
-			for q.len() > 0 {
-				ref := q.pop()
-				n.departed(sh, r, ref)
-				if sh.ar.flags[ref]&pfMeasured != 0 {
-					sh.outstanding--
-				}
-				sh.inFlight--
-				if n.countWindow {
-					sh.ejectedWindow++
-				}
-				sh.lastMove = n.now
-				if n.mcEject != nil || n.OnEject != nil {
-					sh.ev = append(sh.ev, evRec{kind: evEject, ref: ref, hop: metrics.Hop{Router: r.ID}})
-					continue // slot released after replay
-				}
-				sh.ar.release(ref)
+	for i := nextSetMasked(r.waitM, r.termM, true, 0); i >= 0; i = nextSetMasked(r.waitM, r.termM, true, i+1) {
+		q := &r.waitQ[i]
+		for q.len() > 0 {
+			ref := q.pop()
+			n.departed(sh, r, ref)
+			if sh.ar.flags[ref]&pfMeasured != 0 {
+				sh.outstanding--
 			}
+			sh.inFlight--
+			if n.countWindow {
+				sh.ejectedWindow++
+			}
+			sh.lastMove = n.now
+			if n.mcEject != nil || n.OnEject != nil {
+				sh.ev = append(sh.ev, evRec{kind: evEject, ref: ref, hop: metrics.Hop{Router: r.ID}})
+				continue // slot released after replay
+			}
+			sh.ar.release(ref)
 		}
+		clearBit(r.waitM, i)
 	}
 }
 
@@ -697,35 +698,31 @@ func (n *Network) departed(sh *shard, r *Router, ref int32) {
 // transfer crosses the crossbar: flits move from waitQ into the bounded
 // output buffers at unlimited rate (the "sufficient speedup" of Section
 // 4.2), freeing their input slots and returning credits upstream.
+// Terminal outputs eject straight from waitQ, so only the other slots
+// are walked.
 func (n *Network) transfer(sh *shard, r *Router) {
-	for out := 0; out < r.radix; out++ {
-		if r.outLink[out] == nilLink {
-			continue // terminal outputs eject straight from waitQ
-		}
-		base := out * r.vcs
-		for vc := 0; vc < r.vcs; vc++ {
-			w := &r.waitQ[base+vc]
-			q := &r.outQ[base+vc]
-			for w.len() > 0 && q.len() < r.outDepth {
-				ref := w.pop()
-				if n.cfg.DelayCredits {
-					r.crossTd[out] = asymEwma(r.crossTd[out], n.now-sh.ar.arrive[ref])
-				}
-				n.departed(sh, r, ref)
-				q.push(ref)
+	for i := nextSetMasked(r.waitM, r.termM, false, 0); i >= 0; i = nextSetMasked(r.waitM, r.termM, false, i+1) {
+		for r.waitQ[i].len() > 0 && r.outQ[i].len() < r.outDepth {
+			ref := r.popWait(i)
+			if n.cfg.DelayCredits {
+				out := i / r.vcs
+				r.crossTd[out] = asymEwma(r.crossTd[out], n.now-sh.ar.arrive[ref])
 			}
+			n.departed(sh, r, ref)
+			r.pushOut(i, ref)
 		}
 	}
 }
 
 // allocate forwards at most one flit per output channel per cycle from
-// the output buffer, round-robin over the output's VCs. A flit leaving
+// the output buffer, round-robin over the output's VCs; only outputs
+// with a non-empty output buffer are visited. A flit leaving
 // for a router owned by another shard is posted into that shard's
 // mailbox (with its full arena payload) instead of onto the link; the
 // receiver re-homes it at the start of the next cycle, before any
 // delivery can be due.
 func (n *Network) allocate(sh *shard, r *Router) {
-	for out := 0; out < r.radix; out++ {
+	for out := r.nextOutPort(0); out >= 0; out = r.nextOutPort(out + 1) {
 		lid := r.outLink[out]
 		if lid == nilLink {
 			continue // terminal outputs are handled by eject
@@ -751,7 +748,7 @@ func (n *Network) allocate(sh *shard, r *Router) {
 				}
 				continue
 			}
-			ref := q.pop()
+			ref := r.popOut(base + vc)
 			r.credits[base+vc]--
 			r.ctq[out].push(0, n.now)
 			if n.mc != nil {
@@ -797,6 +794,7 @@ func (n *Network) allocate(sh *shard, r *Router) {
 				sh.ar.release(ref)
 			} else {
 				l.flits.push(flitEntry{ref: ref, vc: uint8(vc), at: n.now + l.latency})
+				sh.markLink(l)
 			}
 			rr := vc + 1
 			if rr >= r.vcs {

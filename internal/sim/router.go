@@ -106,6 +106,13 @@ type Router struct {
 
 	// isTerm marks terminal ports.
 	isTerm []bool
+
+	// Activity masks (activity.go): bit pv(port,vc) of waitM/outM is set
+	// exactly when that waitQ/outQ is non-empty, bit port of srcM when
+	// that srcQ is; termM marks the slots of the terminal ports. act
+	// spans waitM, outM and srcM, so an idle router is one short loop.
+	act                      []uint64
+	waitM, outM, srcM, termM []uint64
 }
 
 // pv maps (port, vc) to the index of the flat per-(port, VC) slices.

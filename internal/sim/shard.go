@@ -47,17 +47,6 @@ import (
 // between the phases: advanceEpochs runs on the coordinator after the
 // mailbox drain, when every mailbox is empty and no shard is running.
 
-// shardLink is one entry of a shard's per-cycle link walk. A shard
-// handles the flit side of the links it owns the destination router of
-// and the credit side of the links it owns the source router of; the
-// two flags let a single ascending-id walk process both sides in the
-// serial engine's exact per-link order.
-type shardLink struct {
-	id   int32
-	flit bool // this shard pops delivered flits (owns l.dst)
-	cred bool // this shard pops returned credits (owns l.src)
-}
-
 // flitXfer carries one flit across a shard boundary: the link it rides
 // plus the packet's full arena payload. The sender releases its arena
 // slot when it posts the record; the receiver allocates a fresh slot in
@@ -113,7 +102,11 @@ type shard struct {
 	r0, r1 int     // owned routers: [r0, r1)
 	terms  []int32 // owned terminals, ascending
 
-	linkOrder []shardLink
+	// linkAct has bit id set while link id is alive and holds a flit
+	// this shard pops (it owns the link's destination router) or a
+	// credit it pops (it owns the source router); deliver walks it in
+	// ascending id order (activity.go).
+	linkAct []uint64
 
 	ar        arena
 	hs        HopState
@@ -188,6 +181,7 @@ func (n *Network) buildShards(k int) {
 		sh.r0, sh.r1 = -1, -1
 		sh.flitOut = make([][]flitXfer, k)
 		sh.credOut = make([][]credXfer, k)
+		sh.linkAct = make([]uint64, maskWords(len(n.links)))
 	}
 	for r := 0; r < nR; r++ {
 		sh := &n.shards[n.routerShard[r]]
@@ -205,25 +199,7 @@ func (n *Network) buildShards(k int) {
 		sh := &n.shards[n.routerShard[n.topo.TerminalRouter(t)]]
 		sh.terms = append(sh.terms, int32(t))
 	}
-	for li := range n.links {
-		l := &n.links[li]
-		fs := n.routerShard[l.dst]
-		cs := n.routerShard[l.src]
-		for _, s := range [2]int32{fs, cs} {
-			sh := &n.shards[s]
-			e := shardLink{id: int32(li)}
-			if len(sh.linkOrder) > 0 && sh.linkOrder[len(sh.linkOrder)-1].id == int32(li) {
-				e = sh.linkOrder[len(sh.linkOrder)-1]
-				sh.linkOrder = sh.linkOrder[:len(sh.linkOrder)-1]
-			}
-			e.flit = e.flit || s == fs
-			e.cred = e.cred || s == cs
-			sh.linkOrder = append(sh.linkOrder, e)
-			if fs == cs {
-				break // one entry with both sides
-			}
-		}
-	}
+	n.rebuildActivity()
 	// Prebuilt phase closures: Step runs these verbatim every cycle, so
 	// the steady state allocates nothing.
 	n.drainFns = make([]func(), k)
@@ -285,20 +261,25 @@ func (n *Network) drainShard(sh *shard) {
 			if x.flags&pfMeasured != 0 {
 				sh.outstanding++
 			}
-			n.links[x.link].flits.push(flitEntry{at: x.at, ref: ref, vc: x.vc})
+			l := &n.links[x.link]
+			l.flits.push(flitEntry{at: x.at, ref: ref, vc: x.vc})
+			sh.markLink(l)
 		}
 		src.flitOut[sh.idx] = in[:0]
 		cin := src.credOut[sh.idx]
 		for i := range cin {
 			c := &cin[i]
-			n.links[c.link].credits.push(c.vc, c.at)
+			l := &n.links[c.link]
+			l.credits.push(c.vc, c.at)
+			sh.markLink(l)
 		}
 		src.credOut[sh.idx] = cin[:0]
 	}
 }
 
 // mainShard runs the per-cycle pipeline over this shard's links,
-// terminals and routers.
+// terminals and routers. A router with nothing queued has nothing to
+// admit, eject, transfer or allocate, so it is skipped.
 func (n *Network) mainShard(sh *shard) error {
 	if err := n.deliver(sh); err != nil {
 		return err
@@ -306,6 +287,9 @@ func (n *Network) mainShard(sh *shard) error {
 	n.inject(sh)
 	for ri := sh.r0; ri < sh.r1; ri++ {
 		r := &n.routers[ri]
+		if r.idle() {
+			continue
+		}
 		if err := n.admitSources(sh, r); err != nil {
 			return err
 		}
@@ -366,6 +350,7 @@ func (n *Network) pushCredit(sh *shard, l *link, vc uint8, at int64) {
 		return
 	}
 	l.credits.push(vc, at)
+	sh.markLink(l)
 }
 
 // emitDrop buffers a routing-level drop for the end-of-cycle replay.

@@ -545,6 +545,8 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 	n.shards[0].dropped = dropped
 	n.shards[0].injectedWindow = injWin
 	n.shards[0].ejectedWindow = ejWin
+	// The activity masks are derived state, never encoded.
+	n.rebuildActivity()
 	return nil
 }
 

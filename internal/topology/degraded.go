@@ -1,5 +1,7 @@
 package topology
 
+import "math/bits"
+
 // FaultView is the read-only interface a fault plan (internal/fault)
 // exposes to the topology layer: which routers and which individual
 // ports a fault scenario has taken down. The topology package defines
@@ -36,6 +38,10 @@ type Degraded struct {
 	// GlobalSlot enumerates them — so an empty fault plan makes
 	// LiveGlobalSlot(grp, dst, m) == GlobalSlot(grp, dst, m) exactly.
 	liveSlots [][][]int
+	// reach[ga] has bit gb set when at least one global channel between
+	// groups ga and gb survives (LiveChannels(ga, gb) > 0, symmetric;
+	// never a group's own bit).
+	reach     [][]uint64
 	connected bool
 
 	deadRouters, deadGlobal, deadLocal, deadTerm int
@@ -99,7 +105,11 @@ func (dg *Degraded) buildLiveSlots() {
 	d := dg.m
 	g := d.Groups()
 	dg.liveSlots = make([][][]int, g)
+	words := (g + 63) / 64
+	backing := make([]uint64, g*words)
+	dg.reach = make([][]uint64, g)
 	for ga := 0; ga < g; ga++ {
+		dg.reach[ga] = backing[ga*words : (ga+1)*words : (ga+1)*words]
 		dg.liveSlots[ga] = make([][]int, g)
 		for gb := 0; gb < g; gb++ {
 			if ga == gb {
@@ -115,6 +125,9 @@ func (dg *Degraded) buildLiveSlots() {
 				}
 			}
 			dg.liveSlots[ga][gb] = live
+			if len(live) > 0 {
+				dg.reach[ga][gb/64] |= 1 << (gb % 64)
+			}
 		}
 	}
 }
@@ -185,6 +198,43 @@ func (dg *Degraded) LiveChannels(ga, gb int) int {
 		return 0
 	}
 	return len(dg.liveSlots[ga][gb])
+}
+
+// LiveInterGroup returns a usable Valiant intermediate group for
+// traffic from group gs to group gd: a group other than gs that gs
+// reaches over a surviving global channel and that has a surviving
+// channel on to gd (trivially true when it is gd itself). Candidates
+// are numbered in ascending group order and the one numbered draw
+// modulo their count is returned; ok is false when there is none.
+func (dg *Degraded) LiveInterGroup(gs, gd int, draw uint64) (gi int, ok bool) {
+	from, to := dg.reach[gs], dg.reach[gd]
+	cand := func(w int) uint64 {
+		c := to[w]
+		if gd/64 == w {
+			c |= 1 << (gd % 64)
+		}
+		return from[w] & c
+	}
+	count := 0
+	for w := range from {
+		count += bits.OnesCount64(cand(w))
+	}
+	if count == 0 {
+		return -1, false
+	}
+	want := int(draw % uint64(count))
+	for w := range from {
+		c := cand(w)
+		if k := bits.OnesCount64(c); want >= k {
+			want -= k
+			continue
+		}
+		for ; want > 0; want-- {
+			c &= c - 1
+		}
+		return w*64 + bits.TrailingZeros64(c), true
+	}
+	return -1, false // unreachable: count bounded want
 }
 
 // LiveGlobalSlot returns the m-th surviving global-channel slot from

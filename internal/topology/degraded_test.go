@@ -159,3 +159,54 @@ func TestDegradedDisconnection(t *testing.T) {
 		t.Errorf("AliveTerminals = %d, want %d (terminal links untouched)", dg.AliveTerminals(), d.Terminals())
 	}
 }
+
+// TestLiveInterGroupMatchesEnumeration checks the bitset draw against
+// the definition: candidates are the groups gi != gs with a live
+// channel gs–gi and, unless gi == gd, a live channel gi–gd, numbered in
+// ascending order. The 73-group machine spans two mask words.
+func TestLiveInterGroupMatchesEnumeration(t *testing.T) {
+	d, err := NewDragonfly(1, 8, 9, 0)
+	if err != nil {
+		t.Fatalf("NewDragonfly: %v", err)
+	}
+	if d.G <= 64 {
+		t.Fatalf("machine has %d groups, want more than one mask word", d.G)
+	}
+	for _, every := range []int{0, 2, 3, 7} {
+		ports := map[[2]int]bool{}
+		k := 0
+		for r := 0; r < d.Routers(); r++ {
+			for p := 0; p < d.Radix(r); p++ {
+				if d.Port(r, p).Class == ClassGlobal {
+					if every > 0 && k%every != 0 {
+						ports[[2]int{r, p}] = true
+					}
+					k++
+				}
+			}
+		}
+		dg := NewDegraded(d, fakeFault{ports: ports})
+		for gs := 0; gs < d.G; gs++ {
+			for gd := 0; gd < d.G; gd++ {
+				var cands []int
+				for gi := 0; gi < d.G; gi++ {
+					if gi != gs && dg.LiveChannels(gs, gi) > 0 && (gi == gd || dg.LiveChannels(gi, gd) > 0) {
+						cands = append(cands, gi)
+					}
+				}
+				for _, draw := range []uint64{0, 1, 63, 64, 1<<63 + 5, ^uint64(0)} {
+					gi, ok := dg.LiveInterGroup(gs, gd, draw)
+					if len(cands) == 0 {
+						if ok {
+							t.Fatalf("every=%d gs=%d gd=%d: drew %d with no candidates", every, gs, gd, gi)
+						}
+						continue
+					}
+					if want := cands[draw%uint64(len(cands))]; !ok || gi != want {
+						t.Fatalf("every=%d gs=%d gd=%d draw=%d: got (%d,%v), want %d", every, gs, gd, draw, gi, ok, want)
+					}
+				}
+			}
+		}
+	}
+}
